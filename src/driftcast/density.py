@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,8 +22,14 @@ GRID_PAD_BANDWIDTHS = 5.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Sample-block size for the kernel sum; bounds peak memory to ~16 MB.
-_KDE_CHUNK = 4096
+# estimate_kde sums the kernel rows in chunks of this many samples and adds
+# the chunk sums in order; a running pool sum must close its chunks at the
+# same boundaries to reproduce it bit for bit.
+KDE_CHUNK = 4096
+
+# Kernel rows evaluated at once; bounds each temporary to about 1 MB at 512
+# grid points.
+_KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,32 @@ class DensityEstimate:
         return float(np.trapezoid(self.density, dx=self.grid.spacing))
 
 
+def kernel_sum(values: np.ndarray, bandwidth: float, points: np.ndarray,
+               start: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of the kernel rows exp(-z^2 / 2), z = (points - y_i) / h.
+
+    The rows are added one after another onto `start` (zeros when None), as
+    numpy's axis-0 sum adds them, so the bits do not depend on how the
+    values are split across calls or blocks.
+    """
+    acc = np.zeros(points.size) if start is None else start
+    for first in range(0, values.size, _KERNEL_BLOCK):
+        block = values[first : first + _KERNEL_BLOCK]
+        z = (points[None, :] - block[:, None]) / bandwidth
+        rows = np.exp(-0.5 * z * z)
+        rows[0] += acc
+        acc = rows.sum(axis=0)
+    return acc
+
+
+def density_from_sum(kernels: np.ndarray, n_samples: int, bandwidth: float,
+                     grid: Grid) -> DensityEstimate:
+    """Normalise a kernel sum over `n_samples` values into a density."""
+    density = kernels / (n_samples * bandwidth * _SQRT_2PI)
+    return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth,
+                           n_samples=n_samples)
+
+
 def estimate_kde(values, bandwidth: float, grid: Grid) -> DensityEstimate:
     """Gaussian KDE of `values` evaluated at every grid point.
 
@@ -80,13 +113,9 @@ def estimate_kde(values, bandwidth: float, grid: Grid) -> DensityEstimate:
 
     pts = grid.points
     acc = np.zeros(grid.n_points)
-    for start in range(0, v.size, _KDE_CHUNK):
-        block = v[start : start + _KDE_CHUNK]
-        z = (pts[None, :] - block[:, None]) / bandwidth
-        acc += np.exp(-0.5 * z * z).sum(axis=0)
-    density = acc / (v.size * bandwidth * _SQRT_2PI)
-    return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth,
-                           n_samples=int(v.size))
+    for start in range(0, v.size, KDE_CHUNK):
+        acc += kernel_sum(v[start : start + KDE_CHUNK], bandwidth, pts)
+    return density_from_sum(acc, int(v.size), bandwidth, grid)
 
 
 def shared_grid(values_a, values_b, bandwidth: float,

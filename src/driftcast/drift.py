@@ -6,20 +6,28 @@ values: the p-value is the upper-tail mass of a KDE fitted to the history,
 and a drift fires when it drops below the significance level tau. No fixed
 divergence threshold is ever set; the history distribution evolves as every
 day (drift or not) appends its divergence.
+
+The pool's kernel sum is kept as running state on the pool's own padded
+grid, split into estimate_kde's chunks, so a day inside the pool's range
+costs O(readings per day x grid) however long the history, and every
+divergence is bit-for-bit the one estimate_kde over the whole pool gives.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .density import (
     DEFAULT_GRID_POINTS,
+    KDE_CHUNK,
     Grid,
+    density_from_sum,
     estimate_kde,
+    kernel_sum,
     shared_grid,
     silverman_bandwidth,
 )
@@ -36,15 +44,63 @@ _HISTORY_DOMAIN = (0.0, 1.0)
 RANK_FALLBACK_MAX_HISTORY = 10
 
 
+@dataclass(frozen=True, eq=False)
+class PoolSums:
+    """Kernel sums of one reference pool on the pool's own padded grid.
+
+    They are split as estimate_kde splits its sum: `closed` adds the sums of
+    the full KDE_CHUNK-sample chunks in order, `open` is the row-by-row sum
+    of the last, partial chunk (None when the pool fills whole chunks).
+    """
+
+    pool: np.ndarray  # the exact array these sums describe
+    grid: Grid
+    closed: np.ndarray
+    open: Optional[np.ndarray]
+
+    @classmethod
+    def build(cls, pool: np.ndarray, load_bandwidth: float, grid_points: int,
+              previous: Optional["PoolSums"] = None) -> "PoolSums":
+        """Sums of `pool`, extending `previous` when it covers a prefix of the
+        pool on the same grid, otherwise summed from the first reading."""
+        grid = shared_grid(pool, pool, load_bandwidth, grid_points)
+        if previous is not None and previous.grid == grid:
+            closed, open_, done = previous.closed, previous.open, previous.pool.size
+        else:
+            closed, open_, done = np.zeros(grid.n_points), None, 0
+        points = grid.points
+        while done < pool.size:
+            stop = min(pool.size, (done // KDE_CHUNK + 1) * KDE_CHUNK)
+            open_ = kernel_sum(pool[done:stop], load_bandwidth, points, open_)
+            done = stop
+            if done % KDE_CHUNK == 0:
+                closed, open_ = closed + open_, None
+        return cls(pool=pool, grid=grid, closed=closed, open=open_)
+
+    def total(self) -> np.ndarray:
+        return self.closed if self.open is None else self.closed + self.open
+
+
 @dataclass(frozen=True)
 class DriftState:
-    """Reference readings pool plus the evolving divergence history."""
+    """Reference readings pool plus the evolving divergence history.
+
+    `pool_sums` caches the pool's kernel sums. It is used only while it
+    describes this very `reference_readings` array, so a state built by hand
+    or by replace() falls back to the exact path.
+    """
 
     reference_readings: np.ndarray
     divergence_history: np.ndarray
     load_bandwidth: float
     grid_points: int = DEFAULT_GRID_POINTS
     use_rank_fallback: bool = False
+    pool_sums: Optional[PoolSums] = field(default=None, compare=False, repr=False)
+
+    def cached_sums(self) -> Optional[PoolSums]:
+        """The pool sums, or None when they do not describe this pool."""
+        sums = self.pool_sums
+        return sums if sums is not None and sums.pool is self.reference_readings else None
 
     @property
     def history_bandwidth(self) -> float:
@@ -66,36 +122,39 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
                      use_rank_fallback: bool = False) -> DriftState:
     """Seed the detector from d training days.
 
-    Produces d-1 divergence values: day k against the pooled readings of
-    days 1..k-1, the same comparison the live detector performs.
+    Runs the live detector over the training days: day k is compared with
+    the pooled readings of days 1..k-1 and then advanced into the pool,
+    which yields d-1 divergence values.
     """
     if len(train_days) < 2:
         raise InsufficientHistory(f"need at least 2 training days, got {len(train_days)}")
 
-    all_readings = np.concatenate([day.readings for day in train_days])
-    rpd = train_days[0].readings.size
-    history = np.empty(len(train_days) - 1)
-    for k in range(1, len(train_days)):
-        pool = all_readings[: k * rpd]
-        day = train_days[k].readings
-        grid = shared_grid(day, pool, load_bandwidth, grid_points)
-        div = sqrt_jsd(estimate_kde(day, load_bandwidth, grid),
-                       estimate_kde(pool, load_bandwidth, grid))
-        history[k - 1] = div.value
-
-    return DriftState(reference_readings=all_readings,
-                      divergence_history=history,
-                      load_bandwidth=load_bandwidth,
-                      grid_points=grid_points,
-                      use_rank_fallback=use_rank_fallback)
+    state = DriftState(reference_readings=train_days[0].readings,
+                       divergence_history=np.empty(0),
+                       load_bandwidth=load_bandwidth,
+                       grid_points=grid_points,
+                       use_rank_fallback=use_rank_fallback)
+    for day in train_days[1:]:
+        state = advance(state, day, compute_divergence(state, day))
+    return state
 
 
 def compute_divergence(state: DriftState, new_day: DaySample) -> float:
-    """sqrt-JSD between the new day and the full reference pool."""
-    grid = shared_grid(new_day.readings, state.reference_readings,
-                       state.load_bandwidth, state.grid_points)
-    div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid),
-                   estimate_kde(state.reference_readings, state.load_bandwidth, grid))
+    """sqrt-JSD between the new day and the full reference pool.
+
+    The pool's KDE comes from the cached sums when the shared grid is the
+    pool's own grid (the day lies inside the pool's range); otherwise, as
+    on a day that sets a new extreme, it is estimated afresh.
+    """
+    pool = state.reference_readings
+    grid = shared_grid(new_day.readings, pool, state.load_bandwidth, state.grid_points)
+    sums = state.cached_sums()
+    if sums is not None and sums.grid == grid:
+        pool_kde = density_from_sum(sums.total(), int(pool.size),
+                                    state.load_bandwidth, grid)
+    else:
+        pool_kde = estimate_kde(pool, state.load_bandwidth, grid)
+    div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
     return div.value
 
 
@@ -164,10 +223,14 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
 
     Runs on every day, drift or not: the history distribution must keep
     evolving or the test never adapts to the stream's own variability.
+    The pool's kernel sums are extended by the day's readings, or rebuilt
+    when the day moves the pool's minimum or maximum.
     """
     if not 0.0 <= divergence <= 1.0:
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
+    pool = np.concatenate([state.reference_readings, new_day.readings])
     return replace(state,
-                   reference_readings=np.concatenate([state.reference_readings,
-                                                      new_day.readings]),
-                   divergence_history=np.append(state.divergence_history, divergence))
+                   reference_readings=pool,
+                   divergence_history=np.append(state.divergence_history, divergence),
+                   pool_sums=PoolSums.build(pool, state.load_bandwidth,
+                                            state.grid_points, state.cached_sums()))

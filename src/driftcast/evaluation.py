@@ -36,6 +36,11 @@ REPORT_SCHEMA_VERSION = 1
 COST_KINDS = ("initial_training", "adaptation", "hpo")
 
 
+def near_zero_actuals(actual, epsilon_zero: float = DEFAULT_EPSILON_ZERO) -> np.ndarray:
+    """Mask of the actual values too close to zero for a percentage error."""
+    return np.abs(np.asarray(actual, dtype=float)) <= epsilon_zero
+
+
 def mape(actual, forecast, epsilon_zero: float = DEFAULT_EPSILON_ZERO,
          exclude_zero_actuals: bool = False) -> float:
     """Mean absolute percentage error: (1/n) sum |A - F| / |A| * 100."""
@@ -45,7 +50,7 @@ def mape(actual, forecast, epsilon_zero: float = DEFAULT_EPSILON_ZERO,
         raise LengthMismatch(f"actual has {a.size} values, forecast {f.size}")
     if a.size == 0:
         raise LengthMismatch("cannot score empty vectors")
-    near_zero = np.abs(a) <= epsilon_zero
+    near_zero = near_zero_actuals(a, epsilon_zero)
     if near_zero.any():
         if not exclude_zero_actuals:
             raise ZeroActual(f"{int(near_zero.sum())} actual value(s) within "

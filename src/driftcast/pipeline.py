@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .drift import DriftDecision, advance, decide, init_drift_state
-from .errors import ConfigError, MismatchedRuns
+from .errors import ConfigError, MismatchedRuns, ZeroActual
 from .evaluation import (
     DEFAULT_EPSILON_ZERO,
     DEFAULT_PRICE_RATE,
@@ -33,6 +33,7 @@ from .evaluation import (
     daily_error,
     improvement,
     mape as mape_metric,
+    near_zero_actuals,
     record_cost,
     series_digest,
     summarize_daily,
@@ -208,6 +209,8 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
     filled = resample_and_fill(series, config.max_gap)
     days = list(segment_days(filled))
     train_days, val_days, test_days = split_dataset(days, config.split)
+    if not config.exclude_zero_actuals:
+        _reject_zero_actuals(test_days, config.epsilon_zero)
     norm = NormStats.fit(np.concatenate([d.readings for d in train_days]))
     train_windows = build_windows(norm.normalize(np.concatenate([d.readings for d in train_days])),
                                   config.input_len, config.horizon)
@@ -219,7 +222,24 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
                        train_windows=train_windows, val_windows=val_windows)
 
 
+def _reject_zero_actuals(test_days: Sequence[DaySample], epsilon_zero: float) -> None:
+    """Fail before training on a test day whose scoring would hit a zero."""
+    for day in test_days:
+        zeros = sum(int(near_zero_actuals(actual, epsilon_zero).sum())
+                    for actual in _hourly_actuals(day))
+        if zeros:
+            raise ZeroActual(f"test day {day.day} has {zeros} actual value(s) within "
+                             f"{epsilon_zero} of zero; set exclude_zero_actuals "
+                             f"to score without them")
+
+
 # --- scoring helpers -----------------------------------------------------------
+
+
+def _hourly_actuals(day: DaySample) -> list[np.ndarray]:
+    """The day's readings cut into the 24 hourly blocks that are scored."""
+    steps = day.readings.size // 24
+    return [day.readings[h * steps : (h + 1) * steps] for h in range(24)]
 
 
 def _validation_mape(model_norm: NormStats, weights, windows) -> float:
@@ -306,13 +326,12 @@ def _update_model(config: RunConfig, prep: PreparedRun, model: ForecastModel,
                   day: DaySample, seen_test_days: list[DaySample], event: int,
                   ) -> tuple[ForecastModel, float, Hyperparameters, float]:
     """One adaptation event; returns (model, duration, chosen hp, loss)."""
-    day_windows = _day_windows(prep.norm, day, config)
-    previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
-    score_windows = _day_windows(prep.norm, previous_day, config)
-
     if config.retune_units_full_retrain:
         return _full_retrain(config, prep, model, day, seen_test_days, event)
 
+    day_windows = _day_windows(prep.norm, day, config)
+    previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
+    score_windows = _day_windows(prep.norm, previous_day, config)
     tuned, hpo_duration, trials = _tune_adaptation(config, model, day_windows,
                                                    score_windows, prep.norm, event)
     started = time.perf_counter()
@@ -371,9 +390,7 @@ def _full_retrain(config: RunConfig, prep: PreparedRun, model: ForecastModel,
 def _score_day(config: RunConfig, model: ForecastModel, context: np.ndarray,
                day: DaySample) -> DailyError:
     forecasts = predict_day(model, context, day.readings)
-    steps = day.readings.size // 24
-    pairs = [(day.readings[h * steps : (h + 1) * steps], forecasts[h])
-             for h in range(24)]
+    pairs = list(zip(_hourly_actuals(day), forecasts))
     return daily_error(day.day, pairs, epsilon_zero=config.epsilon_zero,
                        exclude_zero_actuals=config.exclude_zero_actuals)
 

@@ -1,13 +1,15 @@
 """Detector behavior: initialization, divergence, dynamic p-value, advance."""
+import dataclasses
 import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from driftcast.density import estimate_kde, shared_grid
+from driftcast.density import KDE_CHUNK, estimate_kde, shared_grid
 from driftcast.divergence import sqrt_jsd
 from driftcast.drift import (
+    DriftState,
     advance,
     compute_divergence,
     decide,
@@ -273,3 +275,120 @@ class TestStreamProperties:
             history = np.append(history, div)
             state = advance(state, day, original.divergence)
         assert flags == [d.is_drift for d in decisions]
+
+
+# --- cached pool sums ---------------------------------------------------------
+#
+# The detector keeps the pool's kernel sum as running state. These tests hold
+# it to the exact path bit for bit: a stream longer than one KDE_CHUNK with
+# the chunk boundary inside a day, days that set new pool extremes, and a
+# mean shift.
+
+def _cache_stream():
+    rng = np.random.default_rng(30)
+    days = []
+    for i in range(40):
+        level = 10.0 if i < 30 else 13.0  # mean shift on day 30
+        readings = rng.normal(level, 1.0, 144)
+        if i in (12, 25):
+            readings[7] = level + 8.0  # a new pool maximum
+        if i == 18:
+            readings[99] = level - 8.0  # a new pool minimum
+        days.append(make_day(i, readings))
+    return days
+
+
+def _exact_divergence(pool, readings, bandwidth=1.0):
+    grid = shared_grid(readings, pool, bandwidth, 512)
+    return sqrt_jsd(estimate_kde(readings, bandwidth, grid),
+                    estimate_kde(pool, bandwidth, grid)).value
+
+
+def _without_cache(state):
+    return DriftState(reference_readings=state.reference_readings,
+                      divergence_history=state.divergence_history,
+                      load_bandwidth=state.load_bandwidth,
+                      grid_points=state.grid_points,
+                      use_rank_fallback=state.use_rank_fallback)
+
+
+class TestPoolCache:
+    def test_stream_exercises_every_path(self):
+        days = _cache_stream()
+        assert KDE_CHUNK % 144 != 0 and len(days) * 144 > KDE_CHUNK
+        state = init_drift_state(days[:2], load_bandwidth=1.0)
+        hits = misses = 0
+        for day in days[2:]:
+            grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
+            if state.cached_sums().grid == grid:
+                hits += 1
+            else:
+                misses += 1
+            state = advance(state, day, compute_divergence(state, day))
+        sums = state.cached_sums()
+        assert hits > 20 and misses >= 3
+        assert sums.open is not None and np.any(sums.closed > 0)
+
+    def test_init_matches_exact_prefix_loop_bitwise(self):
+        days = _cache_stream()
+        state = init_drift_state(days, load_bandwidth=1.0)
+        expected = [_exact_divergence(np.concatenate([d.readings for d in days[:k]]),
+                                      days[k].readings) for k in range(1, len(days))]
+        assert state.divergence_history.tobytes() == np.array(expected).tobytes()
+        assert state.reference_readings.tobytes() == \
+               np.concatenate([d.readings for d in days]).tobytes()
+
+    def test_decide_advance_match_exact_path_bitwise(self):
+        days = _cache_stream()
+        cached = init_drift_state(days[:3], load_bandwidth=1.0)
+        exact = _without_cache(cached)
+        for day in days[3:]:
+            fast = decide(cached, day, 0.1)
+            slow = decide(exact, day, 0.1)
+            assert fast.divergence == _exact_divergence(exact.reference_readings,
+                                                        day.readings)
+            assert (fast.divergence, fast.p_value, fast.is_drift) == \
+                   (slow.divergence, slow.p_value, slow.is_drift)
+            cached = advance(cached, day, fast.divergence)
+            exact = _without_cache(advance(exact, day, slow.divergence))
+        assert cached.divergence_history.tobytes() == exact.divergence_history.tobytes()
+
+    def test_hand_built_state_gives_same_result(self):
+        days = _cache_stream()
+        state = init_drift_state(days[:35], load_bandwidth=1.0)
+        assert state.cached_sums() is not None
+        bare = _without_cache(state)
+        assert bare.cached_sums() is None
+        for day in days[35:]:
+            assert compute_divergence(bare, day) == compute_divergence(state, day)
+            assert decide(bare, day, 0.2) == decide(state, day, 0.2)
+
+    def test_replaced_pool_drops_the_cache(self):
+        rng = np.random.default_rng(31)
+        state = init_drift_state(stationary_days(rng, 6), load_bandwidth=1.0)
+        other = state.reference_readings + 5.0
+        swapped = dataclasses.replace(state, reference_readings=other)
+        assert swapped.cached_sums() is None
+        day = make_day(6, rng.normal(15.0, 1.0, 144))
+        assert compute_divergence(swapped, day) == _exact_divergence(other, day.readings)
+
+    def test_advance_leaves_the_old_cache_untouched(self):
+        days = _cache_stream()
+        state = init_drift_state(days[:5], load_bandwidth=1.0)
+        sums = state.cached_sums()
+        before = (sums.closed.copy(), None if sums.open is None else sums.open.copy())
+        advance(state, days[5], 0.1)
+        assert np.array_equal(sums.closed, before[0])
+        assert before[1] is None or np.array_equal(sums.open, before[1])
+
+
+def test_numpy_axis0_sum_adds_rows_in_order():
+    # Byte-exactness of the cached pool sum relies on this: a C-ordered
+    # axis-0 sum adds row after row, with no pairwise regrouping.
+    rng = np.random.default_rng(32)
+    for shape in ((2, 5), (257, 512), (700, 513)):
+        rows = np.exp(rng.normal(0.0, 6.0, shape))
+        in_order = rows[0].copy()
+        for row in rows[1:]:
+            in_order = in_order + row
+        assert rows.sum(axis=0).tobytes() == in_order.tobytes()

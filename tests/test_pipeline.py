@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from driftcast.errors import ConfigError, MismatchedRuns
+from driftcast import pipeline
+from driftcast.errors import ConfigError, MismatchedRuns, ZeroActual
 from driftcast.evaluation import EvaluationReport
 from driftcast.ingest import DailyProfile, generate_synthetic
 from driftcast.pipeline import (
     RunConfig,
     compare,
+    prepare_run,
     render_comparison,
     run,
     run_active,
@@ -114,6 +116,14 @@ class TestActive:
         one = run_active(_small_config("active", tau=1.0), series)
         assert one.adaptation_count == passive.adaptation_count == 3
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tau_one_reproduces_passive_errors_bitwise(self, seed):
+        series = _small_series(seed=seed)
+        passive = run_passive(_small_config("passive", seed=seed), series)
+        one = run_active(_small_config("active", tau=1.0, seed=seed), series)
+        assert all(d.is_drift for d in one.drift_decisions)
+        assert _error_payload(one) == _error_payload(passive)
+
     def test_decisions_recorded_every_day(self):
         report = run_active(_small_config("active", tau=0.1), _small_series())
         assert len(report.drift_decisions) == report.split["test_days"]
@@ -130,6 +140,37 @@ class TestActive:
         report = run(_small_config("active", tau=0.5), series)
         assert report.mode == "active"
         assert report.tau == 0.5
+
+
+class TestZeroActuals:
+    def _series_with_zero_test_reading(self):
+        series = _small_series()
+        values = series.values.copy()
+        values[-100] = 0.0  # inside the final test day
+        return dataclasses.replace(series, values=values)
+
+    def test_rejected_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the input")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        series = self._series_with_zero_test_reading()
+        with pytest.raises(ZeroActual):
+            prepare_run(_small_config(), series)
+        with pytest.raises(ZeroActual):
+            run_passive(_small_config("passive"), series)
+
+    def test_allowed_when_excluded(self):
+        config = dataclasses.replace(_small_config(), exclude_zero_actuals=True)
+        report = run_baseline(config, self._series_with_zero_test_reading())
+        assert len(report.daily_errors) == 3
+
+    def test_pretest_zero_is_not_scored(self):
+        series = _small_series()
+        values = series.values.copy()
+        values[10] = 0.0  # first training day
+        report = run_baseline(_small_config(), dataclasses.replace(series, values=values))
+        assert len(report.daily_errors) == 3
 
 
 class TestNoLeakage:
