@@ -46,7 +46,7 @@ RANK_FALLBACK_MAX_HISTORY = 10
 
 @dataclass(frozen=True, eq=False)
 class PoolSums:
-    """Kernel sums of one reference pool on the pool's own padded grid.
+    """Kernel sums of one reference pool on one grid.
 
     They are split as estimate_kde splits its sum: `closed` adds the sums of
     the full KDE_CHUNK-sample chunks in order, `open` is the row-by-row sum
@@ -57,13 +57,14 @@ class PoolSums:
     grid: Grid
     closed: np.ndarray
     open: Optional[np.ndarray]
+    _regridded: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def build(cls, pool: np.ndarray, load_bandwidth: float, grid_points: int,
+    def build(cls, pool: np.ndarray, load_bandwidth: float, grid: Grid,
               previous: Optional["PoolSums"] = None) -> "PoolSums":
-        """Sums of `pool`, extending `previous` when it covers a prefix of the
-        pool on the same grid, otherwise summed from the first reading."""
-        grid = shared_grid(pool, pool, load_bandwidth, grid_points)
+        """Sums of `pool` on `grid`, extending `previous` when it covers a
+        prefix of the pool on the same grid, otherwise summed from the first
+        reading."""
         if previous is not None and previous.grid == grid:
             closed, open_, done = previous.closed, previous.open, previous.pool.size
         else:
@@ -76,6 +77,19 @@ class PoolSums:
             if done % KDE_CHUNK == 0:
                 closed, open_ = closed + open_, None
         return cls(pool=pool, grid=grid, closed=closed, open=open_)
+
+    def on_grid(self, grid: Grid, load_bandwidth: float) -> "PoolSums":
+        """The same pool's sums on `grid`, summed at most once per grid.
+
+        A day that sets a new pool extreme asks for the pool on the grid
+        that the pool extended by that day will have: first for the
+        divergence, then to extend into the new pool's sums.
+        """
+        if grid == self.grid:
+            return self
+        if grid not in self._regridded:
+            self._regridded[grid] = PoolSums.build(self.pool, load_bandwidth, grid)
+        return self._regridded[grid]
 
     def total(self) -> np.ndarray:
         return self.closed if self.open is None else self.closed + self.open
@@ -142,16 +156,16 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
 def compute_divergence(state: DriftState, new_day: DaySample) -> float:
     """sqrt-JSD between the new day and the full reference pool.
 
-    The pool's KDE comes from the cached sums when the shared grid is the
-    pool's own grid (the day lies inside the pool's range); otherwise, as
-    on a day that sets a new extreme, it is estimated afresh.
+    The pool's KDE comes from the cached sums, moved onto the shared grid
+    when the day sets a new extreme; a state without them estimates it
+    afresh. Both give estimate_kde's bits.
     """
     pool = state.reference_readings
     grid = shared_grid(new_day.readings, pool, state.load_bandwidth, state.grid_points)
     sums = state.cached_sums()
-    if sums is not None and sums.grid == grid:
-        pool_kde = density_from_sum(sums.total(), int(pool.size),
-                                    state.load_bandwidth, grid)
+    if sums is not None:
+        pool_kde = density_from_sum(sums.on_grid(grid, state.load_bandwidth).total(),
+                                    int(pool.size), state.load_bandwidth, grid)
     else:
         pool_kde = estimate_kde(pool, state.load_bandwidth, grid)
     div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
@@ -223,14 +237,17 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
 
     Runs on every day, drift or not: the history distribution must keep
     evolving or the test never adapts to the stream's own variability.
-    The pool's kernel sums are extended by the day's readings, or rebuilt
-    when the day moves the pool's minimum or maximum.
+    The pool's kernel sums are extended by the day's readings; when the day
+    moves the pool's minimum or maximum they are first moved onto the new
+    grid, which compute_divergence has usually done already.
     """
     if not 0.0 <= divergence <= 1.0:
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
     pool = np.concatenate([state.reference_readings, new_day.readings])
+    grid = shared_grid(pool, pool, state.load_bandwidth, state.grid_points)
+    sums = state.cached_sums()
+    previous = sums.on_grid(grid, state.load_bandwidth) if sums is not None else None
     return replace(state,
                    reference_readings=pool,
                    divergence_history=np.append(state.divergence_history, divergence),
-                   pool_sums=PoolSums.build(pool, state.load_bandwidth,
-                                            state.grid_points, state.cached_sums()))
+                   pool_sums=PoolSums.build(pool, state.load_bandwidth, grid, previous))

@@ -13,6 +13,7 @@ seeds give identical weights, and inference never draws randomness at all.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,7 +36,11 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
-_GATES = ("i", "f", "o", "z")
+# Stacked gate order in the packed layout: block input z, then the input,
+# forget and output gates.
+_GATES = ("z", "i", "f", "o")
+# Order in which initialize() draws the tensors; it fixes same-seed weights.
+_DRAW_GATES = ("i", "f", "o", "z")
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,17 @@ class NormStats:
 
 
 class LstmWeights:
-    """All gate, peephole and output-layer tensors, keyed by name."""
+    """All gate, peephole and output-layer parameters in one flat vector.
 
-    GATE_TENSORS = [f"{kind}_{gate}" for gate in _GATES for kind in ("W", "R", "b")]
+    `flat` holds, gates stacked in the order z, i, f, o: the input row `W`
+    (4U), the bias `b` (4U), the peepholes `p` of i, f and o (3U), the
+    recurrent matrix `R` (4U x U), then `W_out` (H x U) and `b_out` (H).
+    W, b and p lead so that their gradients come from one batch sum per
+    step. The 17 per-gate tensors (`W_z`, `R_i`, `p_o`, ...) are views into
+    the same vector, so writing one of them writes `flat`.
+    """
+
+    GATE_TENSORS = [f"{kind}_{gate}" for gate in _DRAW_GATES for kind in ("W", "R", "b")]
     PEEPHOLES = ["p_i", "p_f", "p_o"]
     NAMES = GATE_TENSORS + PEEPHOLES + ["W_out", "b_out"]
 
@@ -91,46 +104,78 @@ class LstmWeights:
         missing = set(self.NAMES) - set(arrays)
         if missing:
             raise ValueError(f"missing weight tensors: {sorted(missing)}")
+        n_units, horizon = np.shape(arrays["W_i"])[0], np.shape(arrays["W_out"])[0]
+        self._bind(np.zeros(_packed_size(n_units, horizon)), n_units, horizon)
         for name in self.NAMES:
-            setattr(self, name, np.asarray(arrays[name], dtype=float))
+            view, value = getattr(self, name), np.asarray(arrays[name], dtype=float)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
+
+    @classmethod
+    def packed(cls, flat: np.ndarray, n_units: int, horizon: int) -> "LstmWeights":
+        """Weights viewing `flat` in place (no copy)."""
+        weights = cls.__new__(cls)
+        weights._bind(flat, n_units, horizon)
+        return weights
+
+    def _bind(self, flat: np.ndarray, n_units: int, horizon: int) -> None:
+        size = _packed_size(n_units, horizon)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(f"expected {size} float64 parameters for "
+                             f"{n_units} units and horizon {horizon}, got {flat.shape}")
+        self.flat = flat
+        start = 0
+        for name, shape in (("W", (4 * n_units,)), ("b", (4 * n_units,)),
+                            ("p", (3 * n_units,)), ("R", (4 * n_units, n_units)),
+                            ("W_out", (horizon, n_units)), ("b_out", (horizon,))):
+            stop = start + math.prod(shape)
+            setattr(self, name, flat[start:stop].reshape(shape))
+            start = stop
+        for k, gate in enumerate(_GATES):
+            rows = slice(k * n_units, (k + 1) * n_units)
+            for kind in ("W", "R", "b"):
+                setattr(self, f"{kind}_{gate}", getattr(self, kind)[rows])
+        for k, name in enumerate(self.PEEPHOLES):
+            setattr(self, name, self.p[k * n_units : (k + 1) * n_units])
 
     @classmethod
     def initialize(cls, n_units: int, horizon: int, rng: np.random.Generator,
                    ) -> "LstmWeights":
-        # Uniform in [-1/sqrt(U), 1/sqrt(U)] for every tensor.
+        # Uniform in [-1/sqrt(U), 1/sqrt(U)] for every tensor, drawn in NAMES order.
         bound = 1.0 / np.sqrt(n_units)
-
-        def uniform(*shape):
-            return rng.uniform(-bound, bound, size=shape)
-
-        arrays = {}
-        for gate in _GATES:
-            arrays[f"W_{gate}"] = uniform(n_units)
-            arrays[f"R_{gate}"] = uniform(n_units, n_units)
-            arrays[f"b_{gate}"] = uniform(n_units)
-        for name in cls.PEEPHOLES:
-            arrays[name] = uniform(n_units)
-        arrays["W_out"] = uniform(horizon, n_units)
-        arrays["b_out"] = uniform(horizon)
-        return cls(arrays)
+        weights = cls.packed(np.empty(_packed_size(n_units, horizon)), n_units, horizon)
+        for name in cls.NAMES:
+            view = getattr(weights, name)
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
+        return weights
 
     @property
     def n_units(self) -> int:
-        return self.W_i.shape[0]
+        return self.R.shape[1]
 
     @property
     def horizon(self) -> int:
         return self.W_out.shape[0]
 
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.NAMES:
+            raise KeyError(name)
+        return getattr(self, name)
+
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.NAMES}
 
     def copy(self) -> "LstmWeights":
-        return LstmWeights({name: arr.copy() for name, arr in self.as_dict().items()})
+        return LstmWeights.packed(self.flat.copy(), self.n_units, self.horizon)
 
     def equals(self, other: "LstmWeights") -> bool:
-        return all(np.array_equal(getattr(self, n), getattr(other, n))
-                   for n in self.NAMES)
+        return (self.n_units == other.n_units and self.horizon == other.horizon
+                and np.array_equal(self.flat, other.flat))
+
+
+def _packed_size(n_units: int, horizon: int) -> int:
+    return 4 * n_units * (n_units + 2) + 3 * n_units + horizon * (n_units + 1)
 
 
 @dataclass(frozen=True)
@@ -188,37 +233,58 @@ def stack_windows(windows: Sequence[SupervisedWindow]) -> tuple[np.ndarray, np.n
 # --- forward / backward -------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function with the bits of 1/(1+exp(-x)) for x >= 0 and of
+    exp(x)/(1+exp(x)) below; exp only sees -|x|, so it cannot overflow, and a
+    term that rounds to zero is not reported as underflow."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):
+        np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
     """Unroll the LSTM over (batch, steps) inputs.
 
-    Gate order per step: block input z and input gate i (peephole on the
-    previous cell state), forget gate f (peephole on the previous cell
-    state), cell update, then output gate o peeping at the *updated* cell.
+    Each step stacks the pre-activations of z, i, f and o and takes their
+    recurrent part from one matmul. The input and forget gates peep at the
+    previous cell state; the output gate peeps at the *updated* cell, so it
+    is finished after the cell update. Each pre-activation is summed per
+    element in the order ((x*W + h*R) + c*p) + b, the order of the per-gate
+    formulas, so the values do not depend on the stacking.
     """
     w = weights
     batch, steps = inputs.shape
     units = w.n_units
+    b, p = w.b.reshape(4, units), w.p.reshape(3, units)
+    b_zif, b_o, p_if, p_o = b[:3], b[3], p[:2], p[2]
+    R_T = w.R.T
+    xs = inputs.T[:, :, None]
+    pre = np.empty((batch, 4, units))
+    pre_all, pre_zif, pre_z, pre_if, pre_o = (
+        pre.reshape(batch, 4 * units), pre[:, :3], pre[:, 0], pre[:, 1:3], pre[:, 3])
     h = np.zeros((batch, units))
     c = np.zeros((batch, units))
     cache = [] if keep_cache else None
     for t in range(steps):
-        x_t = inputs[:, t][:, None]
-        z = np.tanh(x_t * w.W_z + h @ w.R_z.T + w.b_z)
-        i_g = _sigmoid(x_t * w.W_i + h @ w.R_i.T + c * w.p_i + w.b_i)
-        f_g = _sigmoid(x_t * w.W_f + h @ w.R_f.T + c * w.p_f + w.b_f)
-        c_new = z * i_g + c * f_g
-        o_g = _sigmoid(x_t * w.W_o + h @ w.R_o.T + c_new * w.p_o + w.b_o)
+        x_t = xs[t]
+        np.multiply(x_t, w.W, out=pre_all)
+        pre_all += h @ R_T
+        pre_if += c[:, None] * p_if
+        pre_zif += b_zif
+        z = np.tanh(pre_z)
+        i_f = _sigmoid(pre_if)
+        c_new = z * i_f[:, 0]
+        c_new += c * i_f[:, 1]
+        pre_o += c_new * p_o
+        pre_o += b_o
+        o_g = _sigmoid(pre_o)
         tanh_c = np.tanh(c_new)
         if keep_cache:
-            cache.append((inputs[:, t], h, c, z, i_g, f_g, c_new, o_g, tanh_c))
+            cache.append((x_t, h, c, z, i_f, c_new, o_g, tanh_c))
         h = o_g * tanh_c
         c = c_new
     return h, cache
@@ -236,43 +302,63 @@ def batch_forward(weights: LstmWeights, inputs: np.ndarray,
 def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
                        targets: np.ndarray,
                        dropout_mask: np.ndarray | None = None,
-                       ) -> tuple[float, dict[str, np.ndarray]]:
-    """MSE loss and its exact gradient for every weight tensor (full BPTT)."""
+                       ) -> tuple[float, LstmWeights]:
+    """MSE loss and its exact gradient for every parameter (full BPTT).
+
+    The gradient is packed like the weights; `grads[name]` reads one tensor.
+    """
     w = weights
     batch, steps = inputs.shape
+    units = w.n_units
     h_final, cache = _forward(w, inputs, keep_cache=True)
     h_drop = h_final if dropout_mask is None else h_final * dropout_mask
     outputs = h_drop @ w.W_out.T + w.b_out
     diff = outputs - targets
     loss = float(np.mean(diff * diff))
 
-    grads = {name: np.zeros_like(arr) for name, arr in w.as_dict().items()}
+    grads = LstmWeights.packed(np.zeros_like(w.flat), units, w.horizon)
     d_out = 2.0 * diff / diff.size
-    grads["W_out"] = d_out.T @ h_drop
-    grads["b_out"] = d_out.sum(axis=0)
+    grads.W_out[...] = d_out.T @ h_drop
+    grads.b_out[...] = d_out.sum(axis=0)
     dh = d_out @ w.W_out
     if dropout_mask is not None:
         dh = dh * dropout_mask
-    dc_next = np.zeros((batch, w.n_units))
+    dc_next = np.zeros((batch, units))
 
+    # One row per window: x*d | d | c_prev*(d_i, d_f) | c*d_o, laid out like
+    # the head W | b | p of the flat vector, so one batch sum per step
+    # accumulates all three gradients. d holds the gate deltas dz, di, df, do.
+    head = np.empty((batch, 11 * units))
+    xd, d_all = head[:, : 4 * units], head[:, 4 * units : 8 * units]
+    cd_if = head[:, 8 * units : 10 * units].reshape(batch, 2, units)
+    cd_o = head[:, 10 * units :]
+    d = d_all.reshape(batch, 4, units)
+    dz, di, df, do, d_if = d[:, 0], d[:, 1], d[:, 2], d[:, 3], d[:, 1:3]
+    grad_head = grads.flat[: 11 * units]
+    grad_R_t = np.empty_like(w.R)
+    R_z, R_i, R_f, R_o = w.R.reshape(4, units, units)
     for t in reversed(range(steps)):
-        x_t, h_prev, c_prev, z, i_g, f_g, c_t, o_g, tanh_c = cache[t]
-        do_pre = dh * tanh_c * o_g * (1.0 - o_g)
-        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do_pre * w.p_o
-        dz_pre = dc * i_g * (1.0 - z * z)
-        di_pre = dc * z * i_g * (1.0 - i_g)
-        df_pre = dc * c_prev * f_g * (1.0 - f_g)
-        dc_next = dc * f_g + di_pre * w.p_i + df_pre * w.p_f
-        dh = dz_pre @ w.R_z + di_pre @ w.R_i + df_pre @ w.R_f + do_pre @ w.R_o
+        x_t, h_prev, c_prev, z, i_f, c_t, o_g, tanh_c = cache[t]
+        np.multiply(dh, tanh_c, out=do)
+        do *= o_g
+        do *= 1.0 - o_g
+        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do * w.p_o
+        np.multiply(dc, i_f[:, 0], out=dz)
+        dz *= 1.0 - z * z
+        np.multiply(dc, z, out=di)
+        np.multiply(dc, c_prev, out=df)
+        d_if *= i_f
+        d_if *= 1.0 - i_f
+        dc_next = dc * i_f[:, 1] + di * w.p_i + df * w.p_f
+        # Four products added in gate order: one (4U)-deep matmul would
+        # reorder the sum.
+        dh = dz @ R_z + di @ R_i + df @ R_f + do @ R_o
 
-        x_col = x_t[:, None]
-        for gate, d_pre in (("z", dz_pre), ("i", di_pre), ("f", df_pre), ("o", do_pre)):
-            grads[f"W_{gate}"] += (d_pre * x_col).sum(axis=0)
-            grads[f"R_{gate}"] += d_pre.T @ h_prev
-            grads[f"b_{gate}"] += d_pre.sum(axis=0)
-        grads["p_i"] += (di_pre * c_prev).sum(axis=0)
-        grads["p_f"] += (df_pre * c_prev).sum(axis=0)
-        grads["p_o"] += (do_pre * c_t).sum(axis=0)
+        np.multiply(d_all, x_t, out=xd)
+        np.multiply(d_if, c_prev[:, None], out=cd_if)
+        np.multiply(do, c_t, out=cd_o)
+        grad_head += head.sum(axis=0)
+        grads.R += np.matmul(d_all.T, h_prev, out=grad_R_t)
 
     return loss, grads
 
@@ -290,21 +376,37 @@ def lstm_forward(model: ForecastModel, inputs) -> np.ndarray:
 # --- training -------------------------------------------------------------
 
 class _Adam:
+    """Adam over the flat parameter vector: one vectorised update per step,
+    written through preallocated buffers so a step allocates nothing."""
+
     def __init__(self, weights: LstmWeights, learning_rate: float):
         self.lr = learning_rate
         self.step = 0
-        self.m = {n: np.zeros_like(a) for n, a in weights.as_dict().items()}
-        self.v = {n: np.zeros_like(a) for n, a in weights.as_dict().items()}
+        self.m = np.zeros_like(weights.flat)
+        self.v = np.zeros_like(weights.flat)
+        self._a = np.empty_like(weights.flat)
+        self._b = np.empty_like(weights.flat)
 
-    def update(self, weights: LstmWeights, grads: dict[str, np.ndarray]) -> None:
+    def update(self, weights: LstmWeights, grads: LstmWeights) -> None:
         self.step += 1
         bias1 = 1.0 - _ADAM_BETA1 ** self.step
         bias2 = 1.0 - _ADAM_BETA2 ** self.step
-        for name, grad in grads.items():
-            m = self.m[name] = _ADAM_BETA1 * self.m[name] + (1 - _ADAM_BETA1) * grad
-            v = self.v[name] = _ADAM_BETA2 * self.v[name] + (1 - _ADAM_BETA2) * grad * grad
-            arr = getattr(weights, name)
-            arr -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
+        g, m, v, a, b = grads.flat, self.m, self.v, self._a, self._b
+        # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1 - _ADAM_BETA1, out=a)
+        v *= _ADAM_BETA2
+        np.multiply(g, 1 - _ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        # weights -= lr*(m/bias1) / (sqrt(v/bias2) + eps)
+        np.divide(m, bias1, out=a)
+        a *= self.lr
+        np.divide(v, bias2, out=b)
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        a /= b
+        weights.flat -= a
 
 
 def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -449,11 +551,11 @@ def seasonal_naive(day_context, readings_per_day: int) -> list[np.ndarray]:
 
 # --- checkpointing ----------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_model(model: ForecastModel, path) -> None:
-    """Dump all tensors plus metadata; round-trips bit-exactly."""
+    """Dump the packed parameter vector plus metadata; round-trips bit-exactly."""
     meta = {
         "checkpoint_version": _CHECKPOINT_VERSION,
         "learning_rate": model.hyperparameters.learning_rate,
@@ -466,9 +568,8 @@ def save_model(model: ForecastModel, path) -> None:
         "rng_seed": model.rng_seed,
         "version": model.version,
     }
-    arrays = {f"weight_{name}": arr for name, arr in model.weights.as_dict().items()}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+             weights=model.weights.flat)
 
 
 def load_model(path) -> ForecastModel:
@@ -476,9 +577,9 @@ def load_model(path) -> ForecastModel:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["checkpoint_version"] != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['checkpoint_version']}")
-        arrays = {name: data[f"weight_{name}"] for name in LstmWeights.NAMES}
+        weights = LstmWeights.packed(data["weights"], meta["n_units"], meta["horizon"])
     return ForecastModel(
-        weights=LstmWeights(arrays),
+        weights=weights,
         hyperparameters=Hyperparameters(learning_rate=meta["learning_rate"],
                                         dropout_rate=meta["dropout_rate"],
                                         n_units=meta["n_units"]),

@@ -372,6 +372,36 @@ class TestPoolCache:
         day = make_day(6, rng.normal(15.0, 1.0, 144))
         assert compute_divergence(swapped, day) == _exact_divergence(other, day.readings)
 
+    def test_new_extreme_day_sums_the_pool_once(self, monkeypatch):
+        # decide and advance share the old pool's sums on the new grid: the
+        # pool is summed once, plus the day's readings for its own KDE and
+        # for the extension, plus the p-value's divergence history.
+        from driftcast import density, drift
+
+        rows = []
+        real = density.kernel_sum
+
+        def counting(values, *args, **kwargs):
+            rows.append(len(values))
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(density, "kernel_sum", counting)
+        monkeypatch.setattr(drift, "kernel_sum", counting)
+        days = _cache_stream()
+        state = init_drift_state(days[:12], load_bandwidth=1.0)
+        day = days[12]  # sets a new pool maximum
+        grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
+        assert state.cached_sums().grid != grid
+        pool_size = state.reference_readings.size
+        rows.clear()
+        decision = decide(state, day, 0.1)
+        advanced = advance(state, day, decision.divergence)
+        assert sum(rows) == (pool_size + 2 * day.readings.size
+                             + state.divergence_history.size)
+        assert advanced.cached_sums().grid == grid
+        assert decision.divergence == _exact_divergence(state.reference_readings,
+                                                        day.readings)
+
     def test_advance_leaves_the_old_cache_untouched(self):
         days = _cache_stream()
         state = init_drift_state(days[:5], load_bandwidth=1.0)

@@ -1,5 +1,7 @@
 """LSTM forward/backward, training, incremental updates and day prediction."""
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,10 @@ from driftcast.errors import (
 )
 from driftcast.forecaster import (
     ForecastModel,
+    _Adam,
+    _forward,
+    _sigmoid,
+    batch_forward,
     Hyperparameters,
     LstmWeights,
     NormStats,
@@ -341,3 +347,193 @@ class TestNormalizationAndCheckpoint:
         assert loaded.norm_stats == model.norm_stats
         assert loaded.version == model.version
         assert loaded.rng_seed == model.rng_seed
+
+    def test_older_checkpoint_version_rejected(self, tmp_path):
+        # Version 1 stored one array per named tensor; version 2 stores the
+        # packed vector.
+        model = _model(seed=12)
+        meta = {"checkpoint_version": 1, "learning_rate": 0.01, "dropout_rate": 0.0,
+                "n_units": 6, "vmin": 0.0, "vmax": 1.0, "input_len": 12,
+                "horizon": 6, "rng_seed": 12, "version": 0}
+        arrays = {f"weight_{name}": arr for name, arr in model.weights.as_dict().items()}
+        path = tmp_path / "v1.npz"
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_model(path)
+
+
+class TestPackedLayout:
+    def test_named_tensors_tile_the_flat_vector(self):
+        weights = LstmWeights.initialize(n_units=5, horizon=3,
+                                         rng=np.random.default_rng(13))
+        views = weights.as_dict()
+        assert sum(v.size for v in views.values()) == weights.flat.size
+        for name, view in views.items():
+            assert np.shares_memory(view, weights.flat), name
+            before = weights.flat.copy()
+            view.ravel()[0] += 1.0
+            assert np.count_nonzero(weights.flat != before) == 1, name
+
+    def test_initialize_keeps_the_per_tensor_draw_order(self):
+        # Gates i, f, o, z with W, R, b each, then the peepholes and the
+        # output layer: the order the weights were always drawn in.
+        units, horizon, bound = 4, 6, 0.5
+        rng = np.random.default_rng(14)
+        expected = {}
+        for gate in "ifoz":
+            expected[f"W_{gate}"] = rng.uniform(-bound, bound, units)
+            expected[f"R_{gate}"] = rng.uniform(-bound, bound, (units, units))
+            expected[f"b_{gate}"] = rng.uniform(-bound, bound, units)
+        for name in ("p_i", "p_f", "p_o"):
+            expected[name] = rng.uniform(-bound, bound, units)
+        expected["W_out"] = rng.uniform(-bound, bound, (horizon, units))
+        expected["b_out"] = rng.uniform(-bound, bound, horizon)
+        weights = LstmWeights.initialize(units, horizon, np.random.default_rng(14))
+        assert weights.equals(LstmWeights(expected))
+
+    def test_wrong_tensor_shape_rejected(self):
+        arrays = _model(n_units=3).weights.as_dict()
+        arrays["R_f"] = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="R_f"):
+            LstmWeights(arrays)
+
+    def test_gradient_is_packed_like_the_weights(self):
+        weights = _model().weights
+        rng = np.random.default_rng(15)
+        _, grads = loss_and_gradients(weights, rng.random((4, 12)), rng.random((4, 6)))
+        assert grads.flat.shape == weights.flat.shape
+        for name in LstmWeights.NAMES:
+            assert grads[name].shape == weights[name].shape
+
+
+# --- the packed LSTM against the per-gate reference --------------------------
+#
+# The per-gate forward, backward and Adam that the packed LSTM replaced, kept
+# as its oracle. The packed code keeps every per-element operation order, so it
+# must match bit for bit wherever the stacked matmuls do; at other widths
+# OpenBLAS may pick another kernel for the stacked shape and move last bits.
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_loss_and_gradients(w, inputs, targets, mask):
+    batch, units = inputs.shape[0], w["W_i"].size
+    h, c, cache = np.zeros((batch, units)), np.zeros((batch, units)), []
+    for t in range(inputs.shape[1]):
+        x = inputs[:, t][:, None]
+        z = np.tanh(x * w["W_z"] + h @ w["R_z"].T + w["b_z"])
+        i = _ref_sigmoid(x * w["W_i"] + h @ w["R_i"].T + c * w["p_i"] + w["b_i"])
+        f = _ref_sigmoid(x * w["W_f"] + h @ w["R_f"].T + c * w["p_f"] + w["b_f"])
+        c_new = z * i + c * f
+        o = _ref_sigmoid(x * w["W_o"] + h @ w["R_o"].T + c_new * w["p_o"] + w["b_o"])
+        tanh_c = np.tanh(c_new)
+        cache.append((x, h, c, z, i, f, c_new, o, tanh_c))
+        h, c = o * tanh_c, c_new
+    h_drop = h if mask is None else h * mask
+    outputs = h_drop @ w["W_out"].T + w["b_out"]
+    diff = outputs - targets
+
+    g = {name: np.zeros_like(arr) for name, arr in w.items()}
+    d_out = 2.0 * diff / diff.size
+    g["W_out"] = d_out.T @ h_drop
+    g["b_out"] = d_out.sum(axis=0)
+    dh = d_out @ w["W_out"]
+    if mask is not None:
+        dh = dh * mask
+    dc_next = np.zeros((batch, units))
+    for x, h_prev, c_prev, z, i, f, c_t, o, tanh_c in reversed(cache):
+        d = {"o": dh * tanh_c * o * (1.0 - o)}
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next + d["o"] * w["p_o"]
+        d["z"] = dc * i * (1.0 - z * z)
+        d["i"] = dc * z * i * (1.0 - i)
+        d["f"] = dc * c_prev * f * (1.0 - f)
+        dc_next = dc * f + d["i"] * w["p_i"] + d["f"] * w["p_f"]
+        dh = d["z"] @ w["R_z"] + d["i"] @ w["R_i"] + d["f"] @ w["R_f"] + d["o"] @ w["R_o"]
+        for gate, d_pre in d.items():
+            g[f"W_{gate}"] += (d_pre * x).sum(axis=0)
+            g[f"R_{gate}"] += d_pre.T @ h_prev
+            g[f"b_{gate}"] += d_pre.sum(axis=0)
+        g["p_i"] += (d["i"] * c_prev).sum(axis=0)
+        g["p_f"] += (d["f"] * c_prev).sum(axis=0)
+        g["p_o"] += (d["o"] * c_t).sum(axis=0)
+    return outputs, float(np.mean(diff * diff)), g
+
+
+def _ref_adam_steps(w, inputs, targets, mask, learning_rate, steps):
+    m = {name: np.zeros_like(arr) for name, arr in w.items()}
+    v = {name: np.zeros_like(arr) for name, arr in w.items()}
+    for step in range(1, steps + 1):
+        _, _, grads = _ref_loss_and_gradients(w, inputs, targets, mask)
+        bias1, bias2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+        for name, grad in grads.items():
+            m[name] = 0.9 * m[name] + (1 - 0.9) * grad
+            v[name] = 0.999 * v[name] + (1 - 0.999) * grad * grad
+            w[name] = w[name] - learning_rate * (m[name] / bias1) / (
+                np.sqrt(v[name] / bias2) + 1e-8)
+    return w
+
+
+def _against_reference(units, batch, dropout):
+    """(packed, reference) pairs: outputs, loss, gradients, weights after Adam."""
+    rng = np.random.default_rng([units, batch, dropout])
+    weights = LstmWeights.initialize(units, 6, rng)
+    reference = {name: arr.copy() for name, arr in weights.as_dict().items()}
+    inputs, targets = rng.random((batch, 12)), rng.random((batch, 6))
+    mask = None
+    if dropout:
+        mask = (rng.random((batch, units)) >= 0.3) / 0.7
+
+    ref_out, ref_loss, ref_grads = _ref_loss_and_gradients(reference, inputs, targets, mask)
+    loss, grads = loss_and_gradients(weights, inputs, targets, mask)
+    h, _ = _forward(weights, inputs, keep_cache=False)
+    h = h if mask is None else h * mask
+    pairs = [("outputs", h @ weights.W_out.T + weights.b_out, ref_out),
+             ("batch_forward", batch_forward(weights, inputs, mask), ref_out),
+             ("loss", np.array(loss), np.array(ref_loss))]
+    pairs += [(f"grad {name}", grads[name], ref_grads[name]) for name in LstmWeights.NAMES]
+
+    adam = _Adam(weights, 0.01)
+    for _ in range(3):
+        adam.update(weights, loss_and_gradients(weights, inputs, targets, mask)[1])
+    reference = _ref_adam_steps(reference, inputs, targets, mask, 0.01, 3)
+    pairs += [(f"adam {name}", weights[name], reference[name]) for name in LstmWeights.NAMES]
+    return pairs
+
+
+class TestPackedAgainstPerGateReference:
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("batch", [1, 7, 24, 32, 500])
+    def test_bit_identical_at_eight_units(self, batch, dropout):
+        for label, packed, reference in _against_reference(8, batch, dropout):
+            assert packed.tobytes() == reference.tobytes(), label
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("batch", [3, 7, 32])
+    @pytest.mark.parametrize("units", [1, 4, 64, 128])
+    def test_agrees_to_1e_12_at_other_widths(self, units, batch, dropout):
+        # Relative to each tensor's largest magnitude: a last-bit change in
+        # one matmul moves elements that nearly cancel by more, relatively.
+        for label, packed, reference in _against_reference(units, batch, dropout):
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(packed - reference)) <= 1e-12 * scale, label
+
+    def test_sigmoid_matches_the_masked_form_without_warnings(self):
+        rng = np.random.default_rng(16)
+        edges = [np.inf, -np.inf, 800.0, -800.0, 0.0, -0.0, 36.0, -37.0, 709.0, -740.0]
+        x = np.concatenate([edges, rng.normal(0.0, 10.0, 1019)])
+        with np.errstate(under="ignore"):
+            expected = _ref_sigmoid(x)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _sigmoid(x)
+            strided = _sigmoid(x.reshape(7, 3, 49)[:, 1:])
+        assert got.tobytes() == expected.tobytes()
+        assert strided.tobytes() == expected.reshape(7, 3, 49)[:, 1:].tobytes()
+        assert got[0] == 1.0 and got[1] == 0.0 and got[4] == 0.5

@@ -1,13 +1,25 @@
-"""Property tests: divergence bounds, p-value order, nested taus, exact kernel sums."""
-from datetime import date, timedelta
+"""Property tests: divergence bounds, p-value order, nested taus, exact kernel
+sums, and the ingest round trip, gap filling and day segmentation."""
+import tempfile
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
 from driftcast.drift import DriftState, advance, decide, init_drift_state, p_value
-from driftcast.ingest import DaySample
+from driftcast.errors import NoCompleteDay
+from driftcast.ingest import (
+    DaySample,
+    LoadSeries,
+    parse_load_csv,
+    readings_per_day,
+    resample_and_fill,
+    segment_days,
+    write_load_csv,
+)
 
 # Derandomized so the suite stays reproducible; no deadline on a shared machine.
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -81,3 +93,88 @@ def test_blocked_kernel_sum_equals_one_shot_sum_bitwise(n, seed, bandwidth, cut)
     resumed = kernel_sum(v[cut:], bandwidth, points, kernel_sum(v[:cut], bandwidth, points))
     assert kernel_sum(v, bandwidth, points).tobytes() == one_shot.tobytes()
     assert resumed.tobytes() == one_shot.tobytes()
+
+
+# --- ingest -------------------------------------------------------------------
+
+resolutions = st.sampled_from([timedelta(minutes=m) for m in (5, 10, 15, 30, 60)])
+zones = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5, minutes=-30))])
+readings = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def series_with_gaps(draw, max_len=80):
+    """A series whose missing slots are interior, so every slot is recoverable."""
+    values = draw(st.lists(readings, min_size=2, max_size=max_len))
+    missing = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    values = [np.nan if gap and 0 < k < len(values) - 1 else v
+              for k, (v, gap) in enumerate(zip(values, missing))]
+    start = draw(st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2030, 1, 1),
+                              timezones=zones)).replace(microsecond=0)
+    return LoadSeries(start_time=start, resolution=draw(resolutions), values=values)
+
+
+def _longest_gap(values):
+    longest = run = 0
+    for missing in np.isnan(values):
+        run = run + 1 if missing else 0
+        longest = max(longest, run)
+    return longest
+
+
+@PROPERTY
+@given(series_with_gaps())
+def test_csv_round_trip_is_exact(series):
+    # The parser infers the resolution as the modal gap between readings.
+    present = np.flatnonzero(~np.isnan(series.values))
+    gaps = np.diff(present)
+    assume(np.sum(gaps == 1) > max(np.sum(gaps == g) for g in set(gaps.tolist()) | {0}
+                                   if g != 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "load.csv"
+        write_load_csv(series, path)
+        parsed = parse_load_csv(path)
+    assert parsed.start_time == series.start_time
+    assert parsed.start_time.utcoffset() == series.start_time.utcoffset()
+    assert parsed.resolution == series.resolution
+    assert parsed.values.tobytes() == series.values.tobytes()
+
+
+@PROPERTY
+@given(series_with_gaps(), st.integers(min_value=0, max_value=4))
+def test_fill_is_idempotent_and_keeps_readings(series, slack):
+    filled = resample_and_fill(series, max_gap=_longest_gap(series.values) + slack)
+    again = resample_and_fill(filled, max_gap=0)
+    assert filled.is_gapless
+    assert again.values.tobytes() == filled.values.tobytes()
+    assert (again.start_time, again.resolution) == (filled.start_time, filled.resolution)
+    present = ~np.isnan(series.values)
+    assert filled.values[present].tobytes() == series.values[present].tobytes()
+    assert (filled.start_time, filled.resolution) == (series.start_time, series.resolution)
+
+
+@PROPERTY
+@given(resolutions, st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=500), st.integers(min_value=0, max_value=2**16))
+def test_segmentation_accounts_for_every_slot(resolution, offset_slots, n, seed):
+    # A gapless series on the resolution's grid: every slot lands in a
+    # complete day or in the dropped leading or trailing partial day.
+    start = datetime(2024, 3, 1) + offset_slots * resolution
+    values = np.random.default_rng(seed).uniform(0.0, 5.0, n)
+    series = LoadSeries(start_time=start, resolution=resolution, values=values)
+    rpd = readings_per_day(resolution)
+    try:
+        segmentation = segment_days(series)
+    except NoCompleteDay:
+        first_midnight = (-(offset_slots % rpd)) % rpd
+        assert first_midnight + rpd > n
+        return
+    days = segmentation.days
+    lead, trail = segmentation.dropped_leading_slots, segmentation.dropped_trailing_slots
+    assert segmentation.dropped_anomalous_days == 0
+    assert lead < rpd and trail < rpd
+    assert lead + len(days) * rpd + trail == n
+    assert np.concatenate([d.readings for d in days]).tobytes() == \
+           values[lead : n - trail].tobytes()
+    assert [d.day for d in days] == [days[0].day + timedelta(days=k) for k in range(len(days))]
+    assert series.timestamp_at(lead).time() == datetime.min.time()
