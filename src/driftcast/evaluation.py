@@ -31,7 +31,7 @@ DEFAULT_EPSILON_ZERO = 1e-6
 # Documented-as-arbitrary default: currency units per minute of adaptation.
 DEFAULT_PRICE_RATE = 0.027
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 COST_KINDS = ("initial_training", "adaptation", "hpo")
 
@@ -173,8 +173,6 @@ class EvaluationReport:
     adaptation_count: int
     ledger: CostLedger
     hpo_events: tuple[HpoEventRecord, ...] = ()
-    improvement_vs_baseline: Optional[float] = None
-    trade_off: Optional[float] = None
 
     @property
     def total_cost(self) -> float:
@@ -225,8 +223,6 @@ class EvaluationReport:
                 }
                 for h in self.hpo_events
             ],
-            "improvement_vs_baseline": self.improvement_vs_baseline,
-            "trade_off_score": self.trade_off,
         }
 
     def to_json(self) -> str:
@@ -269,8 +265,6 @@ class EvaluationReport:
                                dropout_rate=h["dropout_rate"],
                                n_units=h["n_units"], loss=h["loss"])
                 for h in data["hpo_events"]),
-            improvement_vs_baseline=data["improvement_vs_baseline"],
-            trade_off=data["trade_off_score"],
         )
 
     @classmethod

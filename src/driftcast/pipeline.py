@@ -1,13 +1,14 @@
 """End-to-end runs: never-adapt baseline, passive and active adaptation.
 
-The temporal loop is the same in all three modes. Each test day is
-predicted with the model as of the previous day's close, its 24 hourly
-errors are recorded, and only then may the model adapt: every day in
-passive mode, on detector alarms in active mode, never in baseline mode.
+One day loop serves all three modes; they differ only in the policy that
+decides whether to adapt. Each test day is predicted with the model as of
+the previous day's close, its 24 hourly errors are recorded, and only then
+may the model adapt: every day in passive mode, on detector alarms in
+active mode, never in baseline mode. Only active mode builds and consults
+the detector; its state advances on every day regardless of the drift flag.
 An adaptation tunes the non-structural hyperparameters on the new day's
 windows and resumes training from the stored weights, so the update
-benefits the *following* day. The detector state advances on every day
-regardless of the drift flag.
+benefits the *following* day.
 
 Setting tau to 0 reproduces the baseline exactly; tau of 1 adapts every
 day like the passive mode.
@@ -15,8 +16,7 @@ day like the passive mode.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from datetime import date
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .evaluation import (
     record_cost,
     series_digest,
     summarize_daily,
+    trade_off_score,
 )
 from .forecaster import (
     DEFAULT_BATCH_SIZE,
@@ -60,7 +61,6 @@ from .hpo import (
     DEFAULT_LEARNING_RATES,
     DEFAULT_N_UNITS,
     SearchSpace,
-    TrialRecord,
     optimize,
 )
 from .ingest import (
@@ -126,37 +126,8 @@ class RunConfig:
             raise ConfigError("price_rate must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tau": self.tau,
-            "load_bandwidth": self.load_bandwidth,
-            "grid_points": self.grid_points,
-            "split": {
-                "train_fraction": self.split.train_fraction,
-                "validation_fraction_of_train": self.split.validation_fraction_of_train,
-            },
-            "input_len": self.input_len,
-            "horizon": self.horizon,
-            "hpo_initial_budget": self.hpo_initial_budget,
-            "hpo_adapt_budget": self.hpo_adapt_budget,
-            "hpo_fit_epochs": self.hpo_fit_epochs,
-            "epochs_initial": self.epochs_initial,
-            "epochs_incremental": self.epochs_incremental,
-            "batch_size": self.batch_size,
-            "patience": self.patience,
-            "price_rate": self.price_rate,
-            "seed": self.seed,
-            "max_gap": self.max_gap,
-            "deterministic_timing": self.deterministic_timing,
-            "timing_coefficient": self.timing_coefficient,
-            "learning_rates": list(self.learning_rates),
-            "dropout_rates": list(self.dropout_rates),
-            "n_units_values": list(self.n_units_values),
-            "use_rank_fallback": self.use_rank_fallback,
-            "exclude_zero_actuals": self.exclude_zero_actuals,
-            "epsilon_zero": self.epsilon_zero,
-            "retune_units_full_retrain": self.retune_units_full_retrain,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -254,139 +225,6 @@ def _day_windows(norm: NormStats, day: DaySample, config: RunConfig,
     return build_windows(norm.normalize(day.readings), config.input_len, config.horizon)
 
 
-# --- the three phases ------------------------------------------------------------
-
-
-def _initial_model(config: RunConfig, prep: PreparedRun,
-                   ) -> tuple[ForecastModel, float, HpoEventRecord]:
-    """Full-space HPO plus training; returns model, duration and the record."""
-    space = SearchSpace(learning_rates=config.learning_rates,
-                        dropout_rates=config.dropout_rates,
-                        n_units_values=config.n_units_values)
-    trained: dict[tuple, ForecastModel] = {}
-
-    def objective(hp: Hyperparameters) -> float:
-        candidate = new_model(hp, prep.norm, config.input_len, config.horizon,
-                              rng_seed=config.seed)
-        fitted = train(candidate, prep.train_windows, prep.val_windows,
-                       epochs=config.epochs_initial, batch_size=config.batch_size,
-                       patience=config.patience)
-        trained[(hp.learning_rate, hp.dropout_rate, hp.n_units)] = fitted
-        return _validation_mape(prep.norm, fitted.weights, prep.val_windows)
-
-    started = time.perf_counter()
-    timer = (lambda: 0.0) if config.deterministic_timing else time.perf_counter
-    best_hp, trials = optimize(objective, space, budget=config.hpo_initial_budget,
-                               seed=_derived_seed(config.seed, 0), timer=timer)
-    model = trained[(best_hp.learning_rate, best_hp.dropout_rate, best_hp.n_units)]
-
-    if config.deterministic_timing:
-        duration = (config.timing_coefficient * config.epochs_initial
-                    * max(len(prep.train_windows), 1) * len(trials))
-    else:
-        duration = time.perf_counter() - started
-    best_score = min(t.score for t in trials)
-    record = HpoEventRecord(event=0, day_index=None,
-                            learning_rate=best_hp.learning_rate,
-                            dropout_rate=best_hp.dropout_rate,
-                            n_units=best_hp.n_units, loss=best_score)
-    return model, duration, record
-
-
-def _tune_adaptation(config: RunConfig, model: ForecastModel,
-                     day_windows: Sequence[SupervisedWindow],
-                     score_windows: Sequence[SupervisedWindow],
-                     norm: NormStats, event: int,
-                     ) -> tuple[Hyperparameters, float, list[TrialRecord]]:
-    """Non-structural HPO for one adaptation: short resumed fits, scored on
-    the most recent complete day."""
-    space = SearchSpace.frozen(model.hyperparameters.n_units,
-                               learning_rates=config.learning_rates,
-                               dropout_rates=config.dropout_rates)
-
-    def objective(hp: Hyperparameters) -> float:
-        probe = incremental_update(model, day_windows, hp,
-                                   epochs=config.hpo_fit_epochs,
-                                   batch_size=config.batch_size)
-        return _validation_mape(norm, probe.weights, score_windows)
-
-    started = time.perf_counter()
-    timer = (lambda: 0.0) if config.deterministic_timing else time.perf_counter
-    best_hp, trials = optimize(objective, space, budget=config.hpo_adapt_budget,
-                               seed=_derived_seed(config.seed, 1, event), timer=timer)
-    if config.deterministic_timing:
-        duration = (config.timing_coefficient * config.hpo_fit_epochs
-                    * max(len(day_windows), 1) * len(trials))
-    else:
-        duration = time.perf_counter() - started
-    return best_hp, duration, trials
-
-
-def _update_model(config: RunConfig, prep: PreparedRun, model: ForecastModel,
-                  day: DaySample, seen_test_days: list[DaySample], event: int,
-                  ) -> tuple[ForecastModel, float, Hyperparameters, float]:
-    """One adaptation event; returns (model, duration, chosen hp, loss)."""
-    if config.retune_units_full_retrain:
-        return _full_retrain(config, prep, model, day, seen_test_days, event)
-
-    day_windows = _day_windows(prep.norm, day, config)
-    previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
-    score_windows = _day_windows(prep.norm, previous_day, config)
-    tuned, hpo_duration, trials = _tune_adaptation(config, model, day_windows,
-                                                   score_windows, prep.norm, event)
-    started = time.perf_counter()
-    updated = incremental_update(model, day_windows, tuned,
-                                 epochs=config.epochs_incremental,
-                                 batch_size=config.batch_size)
-    if config.deterministic_timing:
-        fit_duration = (config.timing_coefficient * config.epochs_incremental
-                        * max(len(day_windows), 1))
-    else:
-        fit_duration = time.perf_counter() - started
-    loss = min(t.score for t in trials)
-    return updated, hpo_duration + fit_duration, tuned, loss
-
-
-def _full_retrain(config: RunConfig, prep: PreparedRun, model: ForecastModel,
-                  day: DaySample, seen_test_days: list[DaySample], event: int,
-                  ) -> tuple[ForecastModel, float, Hyperparameters, float]:
-    """Opt-in structural retune: rebuild the network on everything seen."""
-    history = prep.train_days + prep.validation_days + seen_test_days + [day]
-    windows = build_windows(
-        prep.norm.normalize(np.concatenate([d.readings for d in history])),
-        config.input_len, config.horizon)
-    space = SearchSpace(learning_rates=config.learning_rates,
-                        dropout_rates=config.dropout_rates,
-                        n_units_values=config.n_units_values)
-    trained: dict[tuple, ForecastModel] = {}
-
-    def objective(hp: Hyperparameters) -> float:
-        candidate = new_model(hp, prep.norm, config.input_len, config.horizon,
-                              rng_seed=config.seed)
-        fitted = train(candidate, windows, prep.val_windows,
-                       epochs=config.epochs_initial, batch_size=config.batch_size,
-                       patience=config.patience)
-        trained[(hp.learning_rate, hp.dropout_rate, hp.n_units)] = fitted
-        return _validation_mape(prep.norm, fitted.weights, prep.val_windows)
-
-    started = time.perf_counter()
-    timer = (lambda: 0.0) if config.deterministic_timing else time.perf_counter
-    best_hp, trials = optimize(objective, space, budget=config.hpo_adapt_budget,
-                               seed=_derived_seed(config.seed, 2, event), timer=timer)
-    retrained = trained[(best_hp.learning_rate, best_hp.dropout_rate, best_hp.n_units)]
-    retrained = replace(retrained, version=model.version + 1)
-    if config.deterministic_timing:
-        duration = (config.timing_coefficient * config.epochs_initial
-                    * max(len(windows), 1) * len(trials))
-    else:
-        duration = time.perf_counter() - started
-    loss = min(t.score for t in trials)
-    return retrained, duration, best_hp, loss
-
-
-# --- run modes ---------------------------------------------------------------
-
-
 def _score_day(config: RunConfig, model: ForecastModel, context: np.ndarray,
                day: DaySample) -> DailyError:
     forecasts = predict_day(model, context, day.readings)
@@ -395,111 +233,175 @@ def _score_day(config: RunConfig, model: ForecastModel, context: np.ndarray,
                        exclude_zero_actuals=config.exclude_zero_actuals)
 
 
-def _build_report(config: RunConfig, prep: PreparedRun, mode: str,
-                  daily_errors: list[DailyError],
-                  decisions: list[DriftDecision],
-                  adaptation_count: int, ledger: CostLedger,
-                  hpo_events: list[HpoEventRecord]) -> EvaluationReport:
+# --- cost clock and model updates ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _CostClock:
+    """The one source of phase and trial durations.
+
+    With deterministic timing every trial reads 0 s and a phase is charged
+    coefficient x epochs x windows x fits, so reports carry no wall time;
+    otherwise both are `perf_counter` seconds.
+    """
+
+    deterministic: bool
+    coefficient: float
+
+    def now(self) -> float:
+        return 0.0 if self.deterministic else time.perf_counter()
+
+    def charge(self, started: float, epochs: int, windows: int, fits: int = 1) -> float:
+        if self.deterministic:
+            return self.coefficient * epochs * max(windows, 1) * fits
+        return time.perf_counter() - started
+
+
+def _search_and_train(config: RunConfig, prep: PreparedRun, clock: _CostClock,
+                      windows: Sequence[SupervisedWindow], budget: int, seed: int,
+                      ) -> tuple[ForecastModel, float, Hyperparameters, float]:
+    """Full-space HPO in which every trial trains a fresh network on `windows`.
+
+    Returns the winning model, the duration of the whole search, the
+    winner's hyperparameters and its validation score.
+    """
+    space = SearchSpace(learning_rates=config.learning_rates,
+                        dropout_rates=config.dropout_rates,
+                        n_units_values=config.n_units_values)
+    trained: dict[Hyperparameters, ForecastModel] = {}
+
+    def objective(hp: Hyperparameters) -> float:
+        candidate = new_model(hp, prep.norm, config.input_len, config.horizon,
+                              rng_seed=config.seed)
+        trained[hp] = train(candidate, windows, prep.val_windows,
+                            epochs=config.epochs_initial, batch_size=config.batch_size,
+                            patience=config.patience)
+        return _validation_mape(prep.norm, trained[hp].weights, prep.val_windows)
+
+    started = clock.now()
+    best_hp, trials = optimize(objective, space, budget=budget, seed=seed,
+                               timer=clock.now)
+    duration = clock.charge(started, config.epochs_initial, len(windows), len(trials))
+    return trained[best_hp], duration, best_hp, min(t.score for t in trials)
+
+
+def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
+                  model: ForecastModel, day: DaySample,
+                  seen_test_days: list[DaySample], event: int,
+                  ) -> tuple[ForecastModel, float, float, Hyperparameters, float]:
+    """One adaptation event; returns (model, hpo s, fit s, chosen hp, loss).
+
+    By default the non-structural hyperparameters are tuned with short
+    resumed fits scored on the most recent complete day, then training
+    resumes on the new day's windows. With `retune_units_full_retrain` the
+    network is rebuilt by a full search over everything seen; its trials are
+    the fits, so the whole search counts as fitting time.
+    """
+    if config.retune_units_full_retrain:
+        history = prep.pretest_days + seen_test_days + [day]
+        windows = build_windows(
+            prep.norm.normalize(np.concatenate([d.readings for d in history])),
+            config.input_len, config.horizon)
+        retrained, duration, tuned, loss = _search_and_train(
+            config, prep, clock, windows, config.hpo_adapt_budget,
+            _derived_seed(config.seed, 2, event))
+        return replace(retrained, version=model.version + 1), 0.0, duration, tuned, loss
+
+    day_windows = _day_windows(prep.norm, day, config)
+    previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
+    score_windows = _day_windows(prep.norm, previous_day, config)
+    space = SearchSpace.frozen(model.hyperparameters.n_units,
+                               learning_rates=config.learning_rates,
+                               dropout_rates=config.dropout_rates)
+
+    def objective(hp: Hyperparameters) -> float:
+        probe = incremental_update(model, day_windows, hp,
+                                   epochs=config.hpo_fit_epochs,
+                                   batch_size=config.batch_size)
+        return _validation_mape(prep.norm, probe.weights, score_windows)
+
+    started = clock.now()
+    tuned, trials = optimize(objective, space, budget=config.hpo_adapt_budget,
+                             seed=_derived_seed(config.seed, 1, event), timer=clock.now)
+    hpo_duration = clock.charge(started, config.hpo_fit_epochs, len(day_windows),
+                                len(trials))
+    started = clock.now()
+    updated = incremental_update(model, day_windows, tuned,
+                                 epochs=config.epochs_incremental,
+                                 batch_size=config.batch_size)
+    fit_duration = clock.charge(started, config.epochs_incremental, len(day_windows))
+    return updated, hpo_duration, fit_duration, tuned, min(t.score for t in trials)
+
+
+# --- the run -----------------------------------------------------------------
+
+
+def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
+    """Score every test day, then adapt as the mode's policy says."""
+    prep = prepare_run(config, series)
+    clock = _CostClock(config.deterministic_timing, config.timing_coefficient)
+    model, duration, best_hp, loss = _search_and_train(
+        config, prep, clock, prep.train_windows, config.hpo_initial_budget,
+        _derived_seed(config.seed, 0))
+    ledger = record_cost(CostLedger(price_rate=config.price_rate),
+                         prep.pretest_days[-1].day, "initial_training", duration)
+    hpo_events = [HpoEventRecord(event=0, day_index=None,
+                                 learning_rate=best_hp.learning_rate,
+                                 dropout_rate=best_hp.dropout_rate,
+                                 n_units=best_hp.n_units, loss=loss)]
+
+    active = config.mode == "active"
+    if active:  # baseline and passive never build or consult the detector
+        state = init_drift_state(prep.pretest_days, config.load_bandwidth,
+                                 grid_points=config.grid_points,
+                                 use_rank_fallback=config.use_rank_fallback)
+    context = np.concatenate([d.readings for d in prep.pretest_days])
+    daily_errors: list[DailyError] = []
+    decisions: list[DriftDecision] = []
+    seen: list[DaySample] = []
+    for day in prep.test_days:
+        daily_errors.append(_score_day(config, model, context, day))
+        if active:
+            decisions.append(decide(state, day, config.tau))
+        if config.mode == "passive" or (active and decisions[-1].is_drift):
+            event = len(hpo_events)
+            model, hpo_duration, fit_duration, tuned, loss = _update_model(
+                config, prep, clock, model, day, seen, event)
+            ledger = record_cost(ledger, day.day, "hpo", hpo_duration)
+            ledger = record_cost(ledger, day.day, "adaptation", fit_duration)
+            hpo_events.append(HpoEventRecord(
+                event=event, day_index=day.day, learning_rate=tuned.learning_rate,
+                dropout_rate=tuned.dropout_rate, n_units=tuned.n_units, loss=loss))
+        if active:
+            state = advance(state, day, decisions[-1].divergence)
+        seen.append(day)
+        context = np.concatenate([context, day.readings])
+
     stats = summarize_daily(daily_errors)
     return EvaluationReport(
-        mode=mode, tau=config.tau, series_sha256=prep.digest, seed=config.seed,
+        mode=config.mode, tau=config.tau, series_sha256=prep.digest, seed=config.seed,
         split=prep.split_sizes(), daily_errors=tuple(daily_errors),
         mean_mape=stats["mean_mape"], std_mape=stats["std_mape"],
         mean_rmse=stats["mean_rmse"], std_rmse=stats["std_rmse"],
-        drift_decisions=tuple(decisions), adaptation_count=adaptation_count,
+        drift_decisions=tuple(decisions), adaptation_count=len(hpo_events) - 1,
         ledger=ledger, hpo_events=tuple(hpo_events))
 
 
 def run_baseline(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     """Train once, predict every test day, never adapt."""
-    config = replace(config, mode="baseline", tau=None)
-    prep = prepare_run(config, series)
-    model, duration, hpo_record = _initial_model(config, prep)
-    ledger = record_cost(CostLedger(price_rate=config.price_rate),
-                         prep.pretest_days[-1].day, "initial_training", duration)
-
-    context = np.concatenate([d.readings for d in prep.pretest_days])
-    daily_errors = []
-    for day in prep.test_days:
-        daily_errors.append(_score_day(config, model, context, day))
-        context = np.concatenate([context, day.readings])
-    return _build_report(config, prep, "baseline", daily_errors, [], 0, ledger,
-                         [hpo_record])
+    return run(replace(config, mode="baseline", tau=None), series)
 
 
 def run_passive(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     """Predict each day, then unconditionally adapt on that day's windows."""
-    config = replace(config, mode="passive", tau=None)
-    prep = prepare_run(config, series)
-    model, duration, hpo_record = _initial_model(config, prep)
-    ledger = record_cost(CostLedger(price_rate=config.price_rate),
-                         prep.pretest_days[-1].day, "initial_training", duration)
-    hpo_events = [hpo_record]
-
-    context = np.concatenate([d.readings for d in prep.pretest_days])
-    daily_errors = []
-    seen: list[DaySample] = []
-    for event, day in enumerate(prep.test_days, start=1):
-        daily_errors.append(_score_day(config, model, context, day))
-        model, duration, tuned, loss = _update_model(config, prep, model, day,
-                                                     seen, event)
-        ledger = record_cost(ledger, day.day, "hpo", 0.0)
-        ledger = record_cost(ledger, day.day, "adaptation", duration)
-        hpo_events.append(HpoEventRecord(
-            event=event, day_index=day.day, learning_rate=tuned.learning_rate,
-            dropout_rate=tuned.dropout_rate, n_units=tuned.n_units, loss=loss))
-        seen.append(day)
-        context = np.concatenate([context, day.readings])
-    return _build_report(config, prep, "passive", daily_errors, [],
-                         len(prep.test_days), ledger, hpo_events)
+    return run(replace(config, mode="passive", tau=None), series)
 
 
 def run_active(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     """Adapt only when the day's divergence is improbably large."""
-    config.validate()
-    if config.mode != "active" or config.tau is None:
+    if config.mode != "active":
         raise ConfigError("run_active requires mode='active' and a tau value")
-    prep = prepare_run(config, series)
-    model, duration, hpo_record = _initial_model(config, prep)
-    ledger = record_cost(CostLedger(price_rate=config.price_rate),
-                         prep.pretest_days[-1].day, "initial_training", duration)
-    hpo_events = [hpo_record]
-
-    state = init_drift_state(prep.pretest_days, config.load_bandwidth,
-                             grid_points=config.grid_points,
-                             use_rank_fallback=config.use_rank_fallback)
-    context = np.concatenate([d.readings for d in prep.pretest_days])
-    daily_errors = []
-    decisions: list[DriftDecision] = []
-    seen: list[DaySample] = []
-    event = 0
-    for day in prep.test_days:
-        daily_errors.append(_score_day(config, model, context, day))
-        decision = decide(state, day, config.tau)
-        decisions.append(decision)
-        if decision.is_drift:
-            event += 1
-            model, duration, tuned, loss = _update_model(config, prep, model, day,
-                                                         seen, event)
-            ledger = record_cost(ledger, day.day, "hpo", 0.0)
-            ledger = record_cost(ledger, day.day, "adaptation", duration)
-            hpo_events.append(HpoEventRecord(
-                event=event, day_index=day.day, learning_rate=tuned.learning_rate,
-                dropout_rate=tuned.dropout_rate, n_units=tuned.n_units, loss=loss))
-        state = advance(state, day, decision.divergence)
-        seen.append(day)
-        context = np.concatenate([context, day.readings])
-    return _build_report(config, prep, "active", daily_errors, decisions,
-                         sum(d.is_drift for d in decisions), ledger, hpo_events)
-
-
-def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
-    config.validate()
-    if config.mode == "baseline":
-        return run_baseline(config, series)
-    if config.mode == "passive":
-        return run_passive(config, series)
-    return run_active(config, series)
+    return run(config, series)
 
 
 # --- comparison ---------------------------------------------------------------
@@ -525,7 +427,7 @@ def compare(baseline: EvaluationReport, candidates: Sequence[EvaluationReport],
         imp_rmse = improvement(report.mean_rmse, baseline.mean_rmse)
         cost = report.total_cost
         if cost > 0:
-            score = imp_mape / cost
+            score = trade_off_score(imp_mape, cost)
         elif imp_mape == 0:
             score = 0.0  # no adaptations, no improvement: published convention
         else:

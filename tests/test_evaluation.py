@@ -182,6 +182,13 @@ class TestReport:
         again = EvaluationReport.from_json(report.to_json())
         assert again == report
 
+    def test_version_1_report_rejected(self):
+        data = self._report().to_dict()
+        assert "trade_off_score" not in data and "improvement_vs_baseline" not in data
+        data.update(schema_version=1, improvement_vs_baseline=None, trade_off_score=None)
+        with pytest.raises(ValueError, match="unsupported report schema 1"):
+            EvaluationReport.from_dict(data)
+
     def test_serialization_is_stable(self):
         report = self._report()
         assert report.to_json() == report.to_json()

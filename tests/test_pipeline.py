@@ -7,7 +7,8 @@ import pytest
 
 from driftcast import pipeline
 from driftcast.errors import ConfigError, MismatchedRuns, ZeroActual
-from driftcast.evaluation import EvaluationReport
+from driftcast.evaluation import CostLedger, EvaluationReport
+from driftcast.forecaster import build_windows
 from driftcast.ingest import DailyProfile, generate_synthetic
 from driftcast.pipeline import (
     RunConfig,
@@ -141,6 +142,22 @@ class TestActive:
         assert report.mode == "active"
         assert report.tau == 0.5
 
+    def test_run_active_rejects_a_passive_config(self):
+        with pytest.raises(ConfigError):
+            run_active(_small_config("passive"), _small_series())
+
+
+class TestDetectorBypass:
+    @pytest.mark.parametrize("run_mode", [run_baseline, run_passive])
+    def test_never_touches_the_detector(self, monkeypatch, run_mode):
+        def no_detector(*args, **kwargs):
+            raise AssertionError("the detector ran outside active mode")
+
+        for name in ("init_drift_state", "decide", "advance"):
+            monkeypatch.setattr(pipeline, name, no_detector)
+        report = run_mode(_small_config(), _small_series())
+        assert report.drift_decisions == ()
+
 
 class TestZeroActuals:
     def _series_with_zero_test_reading(self):
@@ -197,6 +214,24 @@ class TestCosts:
             for key in ("active_007", "active_010", "active_015"):
                 assert base <= result[key].total_cost <= passive
 
+    def test_ledger_splits_tuning_from_fitting(self):
+        config = dataclasses.replace(_small_config("passive"), hpo_adapt_budget=2,
+                                     learning_rates=(0.01, 0.001))
+        series = _small_series()
+        report = run_passive(config, series)
+        test_days = prepare_run(config, series).test_days
+        entries = report.ledger.entries[1:]
+        assert [e.kind for e in entries] == ["hpo", "adaptation"] * len(test_days)
+        for day, hpo, fit in zip(test_days, entries[::2], entries[1::2]):
+            windows = len(build_windows(day.readings, config.input_len, config.horizon))
+            trials = config.hpo_adapt_budget  # one probe per learning rate
+            tuning = config.timing_coefficient * config.hpo_fit_epochs * windows * trials
+            fitting = config.timing_coefficient * config.epochs_incremental * windows
+            assert hpo.day_index == fit.day_index == day.day
+            assert hpo.duration == tuning
+            assert fit.duration == fitting
+            assert hpo.duration + fit.duration == tuning + fitting
+
     def test_deterministic_timing_is_reproducible(self):
         first = run_passive(_small_config("passive"), _small_series())
         second = run_passive(_small_config("passive"), _small_series())
@@ -228,6 +263,15 @@ class TestCompare:
             wins += passive_imp >= active_imp
         assert wins >= 0.7 * len(scenario_sweep)
 
+    def test_zero_cost_with_an_improvement_has_no_score(self):
+        report = run_baseline(_small_config(), _small_series())
+        free = dataclasses.replace(report, mean_mape=report.mean_mape / 2,
+                                   ledger=CostLedger(price_rate=report.ledger.price_rate))
+        result = compare(report, [free])
+        assert result["rows"][1]["improvement_mape"] == pytest.approx(50.0)
+        assert result["rows"][1]["trade_off_score"] is None
+        assert render_comparison(result).splitlines()[-1].split()[-1] == "-"
+
     def test_text_rendering_contains_all_rows(self):
         report = run_baseline(_small_config(), _small_series())
         text = render_comparison(compare(report, [report]))
@@ -248,3 +292,6 @@ class TestStructuralRetune:
         # every adaptation re-tuned the full space; events must carry units
         tuned_units = {h.n_units for h in report.hpo_events if h.event > 0}
         assert tuned_units <= {4, 6}
+        # the full search's trials are its fits: all of it is fitting time
+        assert all(e.duration == 0.0 for e in report.ledger.entries if e.kind == "hpo")
+        assert all(e.duration > 0.0 for e in report.ledger.entries if e.kind == "adaptation")
