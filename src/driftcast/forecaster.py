@@ -12,6 +12,7 @@ seeds give identical weights, and inference never draws randomness at all.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -414,39 +415,61 @@ def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> float
     return float(np.mean(diff * diff))
 
 
-def _fit(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray,
-         learning_rate: float, dropout_rate: float, epochs: int,
-         batch_size: int, rng: np.random.Generator,
-         val: tuple[np.ndarray, np.ndarray] | None, patience: int | None,
-         ) -> LstmWeights:
-    """Mini-batch Adam over a private weight copy; returns the best weights.
+@dataclass
+class _TrainingRun:
+    """A mini-batch Adam run that can stop after any epoch and resume as if it
+    never stopped: the weights, Adam's state, and the rng of batches and masks."""
 
-    "Best" means lowest validation loss when a validation set is given
-    (with early stopping after `patience` stale epochs), otherwise the
-    final weights.
+    weights: LstmWeights
+    adam: _Adam
+    rng: np.random.Generator
+    dropout_rate: float
+    epochs_done: int = 0
+
+    @classmethod
+    def start(cls, weights: LstmWeights, hp: Hyperparameters,
+              rng: np.random.Generator) -> "_TrainingRun":
+        work = weights.copy()
+        return cls(work, _Adam(work, hp.learning_rate), rng, hp.dropout_rate)
+
+    def snapshot(self) -> "_TrainingRun":
+        return replace(self, weights=self.weights.copy(), adam=copy.deepcopy(self.adam),
+                       rng=copy.deepcopy(self.rng))
+
+
+def _fit(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray, epochs: int,
+         batch_size: int, val: tuple[np.ndarray, np.ndarray] | None = None,
+         patience: int | None = None, keep_after: int | None = None,
+         ) -> tuple[LstmWeights, _TrainingRun | None]:
+    """Train `run` in place until it has done `epochs` epochs.
+
+    Returns the best weights and, if `keep_after` is given, a snapshot of
+    the run after that epoch (None if the run never reaches it). "Best"
+    means lowest validation loss when a validation set is given (with early
+    stopping after `patience` stale epochs), otherwise the final weights.
     """
-    work = weights.copy()
-    adam = _Adam(work, learning_rate)
-    n = inputs.shape[0]
-    units = work.n_units
+    work, adam, rng, n = run.weights, run.adam, run.rng, inputs.shape[0]
 
     best = work.copy() if val is not None else None
     best_loss = _mse(work, *val) if val is not None else np.inf
-    stale = 0
+    stale, kept = 0, None
 
-    for _ in range(epochs):
+    while run.epochs_done < epochs:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch_idx = order[start : start + batch_size]
             mask = None
-            if dropout_rate > 0.0:
-                keep = rng.random((batch_idx.size, units)) >= dropout_rate
-                mask = keep / (1.0 - dropout_rate)
+            if run.dropout_rate > 0.0:
+                keep = rng.random((batch_idx.size, work.n_units)) >= run.dropout_rate
+                mask = keep / (1.0 - run.dropout_rate)
             loss, grads = loss_and_gradients(work, inputs[batch_idx],
                                              targets[batch_idx], mask)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"training loss became {loss}")
             adam.update(work, grads)
+        run.epochs_done += 1
+        if run.epochs_done == keep_after:
+            kept = run.snapshot()
         if val is not None:
             val_loss = _mse(work, *val)
             if not np.isfinite(val_loss):
@@ -457,7 +480,7 @@ def _fit(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray,
                 stale += 1
                 if patience is not None and stale > patience:
                     break
-    return best if best is not None else work
+    return (best if best is not None else work), kept
 
 
 def train(model: ForecastModel, windows: Sequence[SupervisedWindow],
@@ -470,9 +493,8 @@ def train(model: ForecastModel, windows: Sequence[SupervisedWindow],
     inputs, targets = stack_windows(windows)
     val = stack_windows(val_windows) if val_windows else None
     rng = np.random.default_rng([model.rng_seed, 2, model.version])
-    hp = model.hyperparameters
-    weights = _fit(model.weights, inputs, targets, hp.learning_rate,
-                   hp.dropout_rate, epochs, batch_size, rng, val, patience)
+    run = _TrainingRun.start(model.weights, model.hyperparameters, rng)
+    weights, _ = _fit(run, inputs, targets, epochs, batch_size, val, patience)
     return replace(model, weights=weights)
 
 
@@ -480,27 +502,36 @@ def incremental_update(model: ForecastModel,
                        new_windows: Sequence[SupervisedWindow],
                        tuned: Hyperparameters,
                        epochs: int = 10,
-                       batch_size: int = DEFAULT_BATCH_SIZE) -> ForecastModel:
+                       batch_size: int = DEFAULT_BATCH_SIZE,
+                       keep_run_after: int | None = None,
+                       resume: _TrainingRun | None = None):
     """Continue training from the stored weights on new windows only.
 
     The unit count is structural and must match the model; only the tuned
     learning and dropout rates take effect. An empty batch is a no-op that
     returns the model unchanged (version included).
+
+    With `keep_run_after=m` it returns (model, run): the training run after
+    epoch m (None if never reached). Passing it as `resume` with the same
+    model, windows and rates trains only the epochs after m, with the bits of
+    one uninterrupted call of `epochs` epochs; resuming consumes the run.
     """
     if not new_windows:
-        return model
+        return model if keep_run_after is None else (model, None)
     if tuned.n_units != model.hyperparameters.n_units:
         raise ValueError("n_units is structural; incremental updates cannot change it")
     inputs, targets = stack_windows(new_windows)
-    rng = np.random.default_rng([model.rng_seed, 2, model.version + 1])
-    weights = _fit(model.weights, inputs, targets, tuned.learning_rate,
-                   tuned.dropout_rate, epochs, batch_size, rng,
-                   val=None, patience=None)
-    hp = Hyperparameters(learning_rate=tuned.learning_rate,
-                         dropout_rate=tuned.dropout_rate,
-                         n_units=model.hyperparameters.n_units)
-    return replace(model, weights=weights, hyperparameters=hp,
-                   version=model.version + 1)
+    if resume is None:
+        rng = np.random.default_rng([model.rng_seed, 2, model.version + 1])
+        resume = _TrainingRun.start(model.weights, tuned, rng)
+    elif ((resume.adam.lr, resume.dropout_rate) != (tuned.learning_rate, tuned.dropout_rate)
+          or resume.epochs_done > epochs):
+        raise ValueError("a resumed run must keep its rates and not be past `epochs`")
+    weights, kept = _fit(resume, inputs, targets, epochs, batch_size,
+                         keep_after=keep_run_after)
+    updated = replace(model, weights=weights, hyperparameters=tuned,
+                      version=model.version + 1)
+    return updated if keep_run_after is None else (updated, kept)
 
 
 # --- day-level prediction ---------------------------------------------------

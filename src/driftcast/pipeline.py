@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .drift import DriftDecision, advance, decide, init_drift_state
-from .errors import ConfigError, MismatchedRuns, ZeroActual
+from .errors import ConfigError, MismatchedRuns, NonFiniteInput, ZeroActual
 from .evaluation import (
     DEFAULT_EPSILON_ZERO,
     DEFAULT_PRICE_RATE,
@@ -180,13 +180,21 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
     filled = resample_and_fill(series, config.max_gap)
     days = list(segment_days(filled))
     train_days, val_days, test_days = split_dataset(days, config.split)
+    per_day = train_days[0].readings.size
+    if config.horizon * 24 != per_day:
+        raise ConfigError(f"horizon {config.horizon} x 24 != {per_day} readings per day")
+    train = np.concatenate([d.readings for d in train_days])
+    pretest = np.concatenate([train, *(d.readings for d in val_days)])
+    if config.input_len > pretest.size:
+        raise ConfigError(f"input_len {config.input_len} > {pretest.size} pre-test readings")
+    if not np.all(np.isfinite(pretest)):
+        raise NonFiniteInput("pre-test readings contain NaN or infinity")
     if not config.exclude_zero_actuals:
         _reject_zero_actuals(test_days, config.epsilon_zero)
-    norm = NormStats.fit(np.concatenate([d.readings for d in train_days]))
-    train_windows = build_windows(norm.normalize(np.concatenate([d.readings for d in train_days])),
-                                  config.input_len, config.horizon)
-    val_windows = build_windows(norm.normalize(np.concatenate([d.readings for d in val_days])),
-                                config.input_len, config.horizon)
+    norm = NormStats.fit(train)
+    train_windows = build_windows(norm.normalize(train), config.input_len, config.horizon)
+    val_windows = build_windows(norm.normalize(pretest[train.size:]), config.input_len,
+                                config.horizon)
     return PreparedRun(series=filled, digest=series_digest(filled.values),
                        train_days=train_days, validation_days=val_days,
                        test_days=test_days, norm=norm,
@@ -292,10 +300,12 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
     """One adaptation event; returns (model, hpo s, fit s, chosen hp, loss).
 
     By default the non-structural hyperparameters are tuned with short
-    resumed fits scored on the most recent complete day, then training
-    resumes on the new day's windows. With `retune_units_full_retrain` the
-    network is rebuilt by a full search over everything seen; its trials are
-    the fits, so the whole search counts as fitting time.
+    resumed fits on the new day's windows, scored on the most recent
+    complete day. A probe starts from the final fit's weights, windows and
+    rng, so the final fit continues the winning probe's run rather than
+    replaying the epochs they share. With `retune_units_full_retrain` the
+    network is rebuilt by a full search over everything seen; its trials
+    are the fits, so the whole search counts as fitting time.
     """
     if config.retune_units_full_retrain:
         history = prep.pretest_days + seen_test_days + [day]
@@ -314,11 +324,19 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
                                learning_rates=config.learning_rates,
                                dropout_rates=config.dropout_rates)
 
+    best = None  # (score, run) of the best probe so far
+
     def objective(hp: Hyperparameters) -> float:
-        probe = incremental_update(model, day_windows, hp,
-                                   epochs=config.hpo_fit_epochs,
-                                   batch_size=config.batch_size)
-        return _validation_mape(prep.norm, probe.weights, score_windows)
+        nonlocal best
+        probe, run = incremental_update(model, day_windows, hp,
+                                        epochs=config.hpo_fit_epochs,
+                                        batch_size=config.batch_size,
+                                        keep_run_after=min(config.hpo_fit_epochs,
+                                                           config.epochs_incremental))
+        score = _validation_mape(prep.norm, probe.weights, score_windows)
+        if best is None or score < best[0]:  # the first lowest, as optimize's min
+            best = (score, run)
+        return score
 
     started = clock.now()
     tuned, trials = optimize(objective, space, budget=config.hpo_adapt_budget,
@@ -328,7 +346,7 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
     started = clock.now()
     updated = incremental_update(model, day_windows, tuned,
                                  epochs=config.epochs_incremental,
-                                 batch_size=config.batch_size)
+                                 batch_size=config.batch_size, resume=best[1])
     fit_duration = clock.charge(started, config.epochs_incremental, len(day_windows))
     return updated, hpo_duration, fit_duration, tuned, min(t.score for t in trials)
 
@@ -355,7 +373,7 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
         state = init_drift_state(prep.pretest_days, config.load_bandwidth,
                                  grid_points=config.grid_points,
                                  use_rank_fallback=config.use_rank_fallback)
-    context = np.concatenate([d.readings for d in prep.pretest_days])
+    context = np.concatenate([d.readings for d in prep.pretest_days])[-config.input_len:]
     daily_errors: list[DailyError] = []
     decisions: list[DriftDecision] = []
     seen: list[DaySample] = []
@@ -375,7 +393,7 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
         if active:
             state = advance(state, day, decisions[-1].divergence)
         seen.append(day)
-        context = np.concatenate([context, day.readings])
+        context = np.concatenate([context, day.readings])[-config.input_len:]
 
     stats = summarize_daily(daily_errors)
     return EvaluationReport(

@@ -140,6 +140,24 @@ class TestRun:
                      "--out", str(workspace / "r.json")])
         assert code == EXIT_RUNTIME
 
+    def test_quarter_hour_data_with_the_default_horizon_fails_before_search(
+            self, workspace, monkeypatch):
+        from driftcast import pipeline
+
+        searched = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: searched.append(args))
+        quarter = workspace / "quarter.json"
+        quarter.write_text(json.dumps({**PROFILE, "resolution_minutes": 15}))
+        series = workspace / "quarter.csv"
+        assert main(["synth", "--profile", str(quarter), "--seed", "3",
+                     "--days", "12", "--out", str(series)]) == EXIT_OK
+        code = main(["run", "--mode", "passive", "--config",
+                     str(workspace / "config.json"), "--input", str(series),
+                     "--out", str(workspace / "r.json")])
+        assert code == EXIT_CONFIG
+        assert searched == []
+
 
 class TestCompareAndReport:
     def _two_reports(self, workspace):

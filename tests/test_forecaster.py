@@ -1,4 +1,5 @@
 """LSTM forward/backward, training, incremental updates and day prediction."""
+import dataclasses
 import json
 import math
 import warnings
@@ -228,6 +229,18 @@ class TestIncrementalUpdate:
         wrong = Hyperparameters(learning_rate=0.01, dropout_rate=0.0, n_units=12)
         with pytest.raises(ValueError):
             incremental_update(_model(n_units=6), windows[:10], wrong)
+
+    def test_resume_keeps_the_run_rates_and_epochs(self):
+        rng = np.random.default_rng(5)
+        windows, _ = _training_set(rng)
+        model = _model(n_units=6)
+        _, run = incremental_update(model, windows[:10], HP, epochs=2, keep_run_after=2)
+        other = dataclasses.replace(HP, learning_rate=HP.learning_rate / 2)
+        with pytest.raises(ValueError):
+            incremental_update(model, windows[:10], other, epochs=3, resume=run)
+        with pytest.raises(ValueError):
+            incremental_update(model, windows[:10], HP, epochs=1, resume=run)
+        assert run.epochs_done == 2
 
     def test_update_on_shifted_day_beats_stale_model(self):
         # Paired comparison over 20 seeds: adapt on the first shifted day,

@@ -190,6 +190,78 @@ class TestZeroActuals:
         assert len(report.daily_errors) == 3
 
 
+class TestFailFast:
+    def _no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before rejecting the config")
+
+        monkeypatch.setattr(pipeline, "optimize", no_search)
+
+    def test_horizon_must_cover_an_hour(self, monkeypatch):
+        self._no_search(monkeypatch)
+        with pytest.raises(ConfigError, match="readings per day"):
+            run_baseline(dataclasses.replace(_small_config(), horizon=4), _small_series())
+
+    def test_input_len_must_fit_the_pretest_context(self, monkeypatch):
+        self._no_search(monkeypatch)
+        config = dataclasses.replace(_small_config(), input_len=9 * 144 + 1)
+        with pytest.raises(ConfigError, match="input_len"):
+            prepare_run(config, _small_series())
+
+
+class TestScoringContext:
+    def test_days_are_scored_from_the_context_tail(self, monkeypatch):
+        seen = []
+        predict_day = pipeline.predict_day
+
+        def recording(model, context, readings):
+            seen.append(np.size(context))
+            return predict_day(model, context, readings)
+
+        monkeypatch.setattr(pipeline, "predict_day", recording)
+        config = _small_config("passive")
+        run_passive(config, _small_series())
+        assert seen == [config.input_len] * 3
+
+
+class TestResumedFinalFit:
+    @pytest.mark.parametrize("probe_epochs, epochs", [(1, 3), (2, 2), (3, 1)])
+    def test_batches_per_adaptation(self, monkeypatch, probe_epochs, epochs):
+        from driftcast import forecaster
+
+        calls = [0]
+        loss_and_gradients = forecaster.loss_and_gradients
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return loss_and_gradients(*args, **kwargs)
+
+        per_event = []
+        update_model = pipeline._update_model
+
+        def recording(*args, **kwargs):
+            before = calls[0]
+            result = update_model(*args, **kwargs)
+            per_event.append(calls[0] - before)
+            return result
+
+        monkeypatch.setattr(forecaster, "loss_and_gradients", counting)
+        monkeypatch.setattr(pipeline, "_update_model", recording)
+        config = dataclasses.replace(_small_config("passive"), hpo_adapt_budget=2,
+                                     learning_rates=(0.01, 0.001),
+                                     hpo_fit_epochs=probe_epochs,
+                                     epochs_incremental=epochs)
+        series = _small_series()
+        run_passive(config, series)
+        for day, count in zip(prepare_run(config, series).test_days, per_event,
+                              strict=True):
+            windows = len(build_windows(day.readings, config.input_len, config.horizon))
+            batches = -(-windows // config.batch_size)
+            epochs_trained = (config.hpo_adapt_budget * probe_epochs
+                              + max(epochs - probe_epochs, 0))
+            assert count == epochs_trained * batches
+
+
 class TestNoLeakage:
     def test_future_mutation_leaves_past_errors_unchanged(self):
         series = _small_series()

@@ -1,5 +1,6 @@
 """Property tests: divergence bounds, p-value order, nested taus, exact kernel
-sums, and the ingest round trip, gap filling and day segmentation."""
+sums, resumed training runs, and the ingest round trip, gap filling and day
+segmentation."""
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -11,6 +12,13 @@ from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
 from driftcast.drift import DriftState, advance, decide, init_drift_state, p_value
 from driftcast.errors import NoCompleteDay
+from driftcast.forecaster import (
+    Hyperparameters,
+    NormStats,
+    build_windows,
+    incremental_update,
+    new_model,
+)
 from driftcast.ingest import (
     DaySample,
     LoadSeries,
@@ -100,6 +108,26 @@ def test_blocked_kernel_sum_equals_one_shot_sum_bitwise(n, seed, bandwidth, cut)
 resolutions = st.sampled_from([timedelta(minutes=m) for m in (5, 10, 15, 30, 60)])
 zones = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5, minutes=-30))])
 readings = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),
+       st.sampled_from([0.0, 0.3]), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=2**16))
+def test_resumed_probe_equals_a_fresh_update_bitwise(probe_epochs, epochs, dropout,
+                                                     n_windows, seed):
+    rng = np.random.default_rng(seed)
+    tuned = Hyperparameters(learning_rate=0.01, dropout_rate=dropout, n_units=4)
+    model = new_model(tuned, NormStats(vmin=0.0, vmax=1.0), rng_seed=seed)
+    windows = build_windows(rng.random(n_windows + 17), 12, 6)
+    _, run = incremental_update(model, windows, tuned, epochs=probe_epochs, batch_size=8,
+                                keep_run_after=min(probe_epochs, epochs))
+    resumed = incremental_update(model, windows, tuned, epochs=epochs, batch_size=8,
+                                 resume=run)
+    fresh = incremental_update(model, windows, tuned, epochs=epochs, batch_size=8)
+    assert resumed.weights.flat.tobytes() == fresh.weights.flat.tobytes()
+    assert (resumed.version, resumed.hyperparameters) == (fresh.version,
+                                                          fresh.hyperparameters)
 
 
 @st.composite

@@ -1,0 +1,111 @@
+"""Capture or compare the deterministic reports of a fixed run matrix.
+
+    PYTHONPATH=src python tools/golden_reports.py capture DIR
+    PYTHONPATH=src python tools/golden_reports.py compare DIR
+
+`capture` writes one `<case>.json` per run into DIR: the report's `to_json`
+under deterministic timing, so two trees that compute the same bits write the
+same bytes. `compare` reruns the matrix and exits 1 naming every case whose
+report differs from, or is missing in, DIR.
+
+The matrix: 26-day and 120-day synthetic streams (seeds 0-1) in baseline,
+passive and active mode at tau 0.15, 0 and 1; passive runs that tune three
+probes over dropout 0, 0.2 and 0.4 with `hpo_fit_epochs` below, equal to and
+above `epochs_incremental`; and `retune_units_full_retrain` runs. Capture a
+golden directory from the parent tree (point PYTHONPATH at its `src`), then
+compare with the change's tree.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+try:
+    import driftcast  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from driftcast.ingest import DailyProfile, DriftEvent, generate_synthetic
+from driftcast.pipeline import RunConfig, run
+
+PROFILE = DailyProfile(base=10.0, peaks=((8.0, 2.0, 3.0), (19.0, 3.0, 5.0)))
+SEEDS = (0, 1)
+
+# (days, events, run config): a +12 kWh jump then a daily creep, and a year-like
+# stream with a late level shift and a shape swap on a minimal forecaster.
+STREAMS = {
+    "d26": (26, [DriftEvent(21, "mean_shift", 12.0)]
+            + [DriftEvent(day, "mean_shift", 1.0) for day in range(22, 27)],
+            RunConfig(load_bandwidth=1.0, deterministic_timing=True,
+                      hpo_initial_budget=2, hpo_adapt_budget=2, hpo_fit_epochs=1,
+                      epochs_initial=6, epochs_incremental=3, patience=3,
+                      learning_rates=(0.001, 0.01), dropout_rates=(0.0,),
+                      n_units_values=(8,))),
+    "d120": (120, [DriftEvent(96, "mean_shift", 4.0), DriftEvent(108, "shape_swap", 0.25)],
+             RunConfig(load_bandwidth=1.0, deterministic_timing=True,
+                       hpo_initial_budget=1, hpo_adapt_budget=1, hpo_fit_epochs=1,
+                       epochs_initial=1, epochs_incremental=1,
+                       learning_rates=(0.001,), dropout_rates=(0.0,),
+                       n_units_values=(8,))),
+}
+
+POLICIES = {
+    "baseline": dict(mode="baseline", tau=None),
+    "passive": dict(mode="passive", tau=None),
+    "active0.15": dict(mode="active", tau=0.15),
+    "active0": dict(mode="active", tau=0.0),
+    "active1": dict(mode="active", tau=1.0),
+}
+
+
+def cases():
+    """(name, config, stream) for every run of the matrix."""
+    for seed in SEEDS:
+        series = {}
+        for stream, (days, events, base) in STREAMS.items():
+            series[stream] = generate_synthetic(PROFILE, events, noise_sd=0.35,
+                                                seed=seed, n_days=days)
+            for policy, fields in POLICIES.items():
+                yield f"{stream}-{policy}-s{seed}", replace(base, **fields), series[stream]
+        d26 = STREAMS["d26"][2]
+        for probe_epochs in (2, 3, 4):  # epochs_incremental is 3
+            config = replace(d26, mode="passive", hpo_adapt_budget=3,
+                             hpo_fit_epochs=probe_epochs,
+                             dropout_rates=(0.0, 0.2, 0.4))
+            yield f"d26-probes-k{probe_epochs}-s{seed}", config, series["d26"]
+        for policy in ("passive", "active1"):
+            config = replace(d26, retune_units_full_retrain=True, n_units_values=(4, 8),
+                             **POLICIES[policy])
+            yield f"d26-retrain-{policy}-s{seed}", config, series["d26"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("action", choices=["capture", "compare"])
+    parser.add_argument("dir", type=Path)
+    args = parser.parse_args(argv)
+    if args.action == "capture":
+        args.dir.mkdir(parents=True, exist_ok=True)
+    differing = []
+    for name, config, series in cases():
+        text = run(config, series).to_json()
+        path = args.dir / f"{name}.json"
+        if args.action == "capture":
+            path.write_text(text, encoding="utf-8")
+        elif not path.is_file():
+            differing.append(f"{name}: no golden report")
+        elif path.read_text(encoding="utf-8") != text:
+            differing.append(f"{name}: report differs")
+        print(f"{name}: {'written' if args.action == 'capture' else 'checked'}",
+              flush=True)
+    for line in differing:
+        print(f"DIFFERS {line}", file=sys.stderr)
+    if args.action == "compare":
+        print(f"{len(differing)} differing case(s)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
