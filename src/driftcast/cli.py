@@ -128,8 +128,6 @@ def _cmd_run(args) -> int:
     if args.config:
         try:
             config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
     if args.mode is not None:

@@ -94,7 +94,8 @@ class LstmWeights:
     recurrent matrix `R` (4U x U), then `W_out` (H x U) and `b_out` (H).
     W, b and p lead so that their gradients come from one batch sum per
     step. The 17 per-gate tensors (`W_z`, `R_i`, `p_o`, ...) are views into
-    the same vector, so writing one of them writes `flat`.
+    the same vector, so writing one of them writes `flat`. A stack of k
+    same-width networks has a (k, size) `flat`, and views lead with k too.
     """
 
     GATE_TENSORS = [f"{kind}_{gate}" for gate in _DRAW_GATES for kind in ("W", "R", "b")]
@@ -122,23 +123,24 @@ class LstmWeights:
 
     def _bind(self, flat: np.ndarray, n_units: int, horizon: int) -> None:
         size = _packed_size(n_units, horizon)
-        if flat.dtype != np.float64 or flat.shape != (size,):
+        if flat.dtype != np.float64 or flat.ndim not in (1, 2) or flat.shape[-1] != size:
             raise ValueError(f"expected {size} float64 parameters for "
                              f"{n_units} units and horizon {horizon}, got {flat.shape}")
         self.flat = flat
-        start = 0
+        lead, start = flat.shape[:-1], 0
         for name, shape in (("W", (4 * n_units,)), ("b", (4 * n_units,)),
                             ("p", (3 * n_units,)), ("R", (4 * n_units, n_units)),
                             ("W_out", (horizon, n_units)), ("b_out", (horizon,))):
             stop = start + math.prod(shape)
-            setattr(self, name, flat[start:stop].reshape(shape))
+            setattr(self, name, flat[..., start:stop].reshape(lead + shape))
             start = stop
         for k, gate in enumerate(_GATES):
             rows = slice(k * n_units, (k + 1) * n_units)
-            for kind in ("W", "R", "b"):
-                setattr(self, f"{kind}_{gate}", getattr(self, kind)[rows])
+            setattr(self, f"W_{gate}", self.W[..., rows])
+            setattr(self, f"R_{gate}", self.R[..., rows, :])
+            setattr(self, f"b_{gate}", self.b[..., rows])
         for k, name in enumerate(self.PEEPHOLES):
-            setattr(self, name, self.p[k * n_units : (k + 1) * n_units])
+            setattr(self, name, self.p[..., k * n_units : (k + 1) * n_units])
 
     @classmethod
     def initialize(cls, n_units: int, horizon: int, rng: np.random.Generator,
@@ -153,11 +155,11 @@ class LstmWeights:
 
     @property
     def n_units(self) -> int:
-        return self.R.shape[1]
+        return self.R.shape[-1]
 
     @property
     def horizon(self) -> int:
-        return self.W_out.shape[0]
+        return self.W_out.shape[-2]
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.NAMES:
@@ -255,31 +257,33 @@ def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
     previous cell state; the output gate peeps at the *updated* cell, so it
     is finished after the cell update. Each pre-activation is summed per
     element in the order ((x*W + h*R) + c*p) + b, the order of the per-gate
-    formulas, so the values do not depend on the stacking.
+    formulas, so the values do not depend on the stacking. A stack of
+    networks adds a leading member axis; its inputs may share one block.
     """
     w = weights
-    batch, steps = inputs.shape
-    units = w.n_units
-    b, p = w.b.reshape(4, units), w.p.reshape(3, units)
-    b_zif, b_o, p_if, p_o = b[:3], b[3], p[:2], p[2]
-    R_T = w.R.T
-    xs = inputs.T[:, :, None]
-    pre = np.empty((batch, 4, units))
+    lead, units = w.flat.shape[:-1], w.n_units
+    batch, steps = inputs.shape[-2:]
+    b, p = w.b.reshape(*lead, 1, 4, units), w.p.reshape(*lead, 1, 3, units)
+    b_zif, b_o, p_if, p_o = b[..., :3, :], b[..., 3, :], p[..., :2, :], p[..., 2, :]
+    W, R_T = w.W[..., None, :], w.R.swapaxes(-1, -2)
+    xs = inputs[..., None]
+    pre = np.empty((*lead, batch, 4, units))
     pre_all, pre_zif, pre_z, pre_if, pre_o = (
-        pre.reshape(batch, 4 * units), pre[:, :3], pre[:, 0], pre[:, 1:3], pre[:, 3])
-    h = np.zeros((batch, units))
-    c = np.zeros((batch, units))
+        pre.reshape(*lead, batch, 4 * units), pre[..., :3, :], pre[..., 0, :],
+        pre[..., 1:3, :], pre[..., 3, :])
+    h = np.zeros((*lead, batch, units))
+    c = np.zeros((*lead, batch, units))
     cache = [] if keep_cache else None
     for t in range(steps):
-        x_t = xs[t]
-        np.multiply(x_t, w.W, out=pre_all)
+        x_t = xs[..., t, :]
+        np.multiply(x_t, W, out=pre_all)
         pre_all += h @ R_T
-        pre_if += c[:, None] * p_if
+        pre_if += c[..., None, :] * p_if
         pre_zif += b_zif
         z = np.tanh(pre_z)
         i_f = _sigmoid(pre_if)
-        c_new = z * i_f[:, 0]
-        c_new += c * i_f[:, 1]
+        c_new = z * i_f[..., 0, :]
+        c_new += c * i_f[..., 1, :]
         pre_o += c_new * p_o
         pre_o += b_o
         o_g = _sigmoid(pre_o)
@@ -291,13 +295,19 @@ def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
     return h, cache
 
 
+def _member_mse(diff: np.ndarray) -> list[float]:
+    """Each member's mean squared error, reduced over its own contiguous slice."""
+    return [float(np.mean(member)) for member in (diff * diff).reshape(-1, *diff.shape[-2:])]
+
+
 def batch_forward(weights: LstmWeights, inputs: np.ndarray,
                   dropout_mask: np.ndarray | None = None) -> np.ndarray:
-    """Predictions (batch, horizon) in normalized space; no side effects."""
+    """Predictions (batch, horizon) in normalized space; no side effects. A
+    stack gives (members, batch, horizon) from shared or per-member inputs."""
     h, _ = _forward(weights, inputs, keep_cache=False)
     if dropout_mask is not None:
         h = h * dropout_mask
-    return h @ weights.W_out.T + weights.b_out
+    return h @ weights.W_out.swapaxes(-1, -2) + weights.b_out[..., None, :]
 
 
 def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
@@ -307,61 +317,65 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
     """MSE loss and its exact gradient for every parameter (full BPTT).
 
     The gradient is packed like the weights; `grads[name]` reads one tensor.
+    For a stack, arrays lead with the member axis and each member's loss
+    and gradient are bit for bit those of its own call.
     """
     w = weights
-    batch, steps = inputs.shape
-    units = w.n_units
+    lead, units = w.flat.shape[:-1], w.n_units
+    batch, steps = inputs.shape[-2:]
     h_final, cache = _forward(w, inputs, keep_cache=True)
     h_drop = h_final if dropout_mask is None else h_final * dropout_mask
-    outputs = h_drop @ w.W_out.T + w.b_out
-    diff = outputs - targets
-    loss = float(np.mean(diff * diff))
+    diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
+    losses = _member_mse(diff)
 
     grads = LstmWeights.packed(np.zeros_like(w.flat), units, w.horizon)
-    d_out = 2.0 * diff / diff.size
-    grads.W_out[...] = d_out.T @ h_drop
-    grads.b_out[...] = d_out.sum(axis=0)
+    d_out = 2.0 * diff / (batch * w.horizon)
+    grads.W_out[...] = d_out.swapaxes(-1, -2) @ h_drop
+    grads.b_out[...] = d_out.sum(axis=-2)
     dh = d_out @ w.W_out
     if dropout_mask is not None:
         dh = dh * dropout_mask
-    dc_next = np.zeros((batch, units))
+    dc_next = np.zeros((*lead, batch, units))
+    p = w.p.reshape(*lead, 1, 3, units)
+    p_i, p_f, p_o = p[..., 0, :], p[..., 1, :], p[..., 2, :]
 
     # One row per window: x*d | d | c_prev*(d_i, d_f) | c*d_o, laid out like
     # the head W | b | p of the flat vector, so one batch sum per step
     # accumulates all three gradients. d holds the gate deltas dz, di, df, do.
-    head = np.empty((batch, 11 * units))
-    xd, d_all = head[:, : 4 * units], head[:, 4 * units : 8 * units]
-    cd_if = head[:, 8 * units : 10 * units].reshape(batch, 2, units)
-    cd_o = head[:, 10 * units :]
-    d = d_all.reshape(batch, 4, units)
-    dz, di, df, do, d_if = d[:, 0], d[:, 1], d[:, 2], d[:, 3], d[:, 1:3]
-    grad_head = grads.flat[: 11 * units]
+    head = np.empty((*lead, batch, 11 * units))
+    xd, d_all = head[..., : 4 * units], head[..., 4 * units : 8 * units]
+    cd_if = head[..., 8 * units : 10 * units].reshape(*lead, batch, 2, units)
+    cd_o = head[..., 10 * units :]
+    d = d_all.reshape(*lead, batch, 4, units)
+    dz, di, df, do, d_if = (d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :],
+                            d[..., 1:3, :])
+    grad_head = grads.flat[..., : 11 * units]
     grad_R_t = np.empty_like(w.R)
-    R_z, R_i, R_f, R_o = w.R.reshape(4, units, units)
+    R_z, R_i, R_f, R_o = (w.R[..., g * units : (g + 1) * units, :] for g in range(4))
     for t in reversed(range(steps)):
         x_t, h_prev, c_prev, z, i_f, c_t, o_g, tanh_c = cache[t]
         np.multiply(dh, tanh_c, out=do)
         do *= o_g
         do *= 1.0 - o_g
-        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do * w.p_o
-        np.multiply(dc, i_f[:, 0], out=dz)
+        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do * p_o
+        np.multiply(dc, i_f[..., 0, :], out=dz)
         dz *= 1.0 - z * z
         np.multiply(dc, z, out=di)
         np.multiply(dc, c_prev, out=df)
         d_if *= i_f
         d_if *= 1.0 - i_f
-        dc_next = dc * i_f[:, 1] + di * w.p_i + df * w.p_f
+        dc_next = dc * i_f[..., 1, :] + di * p_i + df * p_f
         # Four products added in gate order: one (4U)-deep matmul would
         # reorder the sum.
         dh = dz @ R_z + di @ R_i + df @ R_f + do @ R_o
 
         np.multiply(d_all, x_t, out=xd)
-        np.multiply(d_if, c_prev[:, None], out=cd_if)
+        np.multiply(d_if, c_prev[..., None, :], out=cd_if)
         np.multiply(do, c_t, out=cd_o)
-        grad_head += head.sum(axis=0)
-        grads.R += np.matmul(d_all.T, h_prev, out=grad_R_t)
+        grad_head += head.sum(axis=-2)
+        grads.R += np.matmul(d_all.swapaxes(-1, -2), h_prev, out=grad_R_t)
 
-    return loss, grads
+    return (losses if lead else losses[0]), grads
 
 
 def lstm_forward(model: ForecastModel, inputs) -> np.ndarray:
@@ -378,15 +392,23 @@ def lstm_forward(model: ForecastModel, inputs) -> np.ndarray:
 
 class _Adam:
     """Adam over the flat parameter vector: one vectorised update per step,
-    written through preallocated buffers so a step allocates nothing."""
+    written through preallocated buffers so a step allocates nothing. The
+    members of a stack share the step count; each has its own learning rate."""
 
-    def __init__(self, weights: LstmWeights, learning_rate: float):
-        self.lr = learning_rate
+    def __init__(self, weights: LstmWeights, learning_rate: float | Sequence[float]):
+        self.lr = np.asarray(learning_rate, dtype=float)[..., None]
         self.step = 0
         self.m = np.zeros_like(weights.flat)
         self.v = np.zeros_like(weights.flat)
         self._a = np.empty_like(weights.flat)
         self._b = np.empty_like(weights.flat)
+
+    def select(self, rows: list[int]) -> "_Adam":
+        """A copy of the state of the stack's members `rows`."""
+        adam = copy.copy(self)
+        adam.__dict__.update((name, value[rows]) for name, value in vars(self).items()
+                             if name != "step")
+        return adam
 
     def update(self, weights: LstmWeights, grads: LstmWeights) -> None:
         self.step += 1
@@ -410,97 +432,124 @@ class _Adam:
         weights.flat -= a
 
 
-def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> float:
-    diff = batch_forward(weights, inputs) - targets
-    return float(np.mean(diff * diff))
+def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> list[float]:
+    return _member_mse(batch_forward(weights, inputs) - targets)
+
+
+def _finite(losses: list[float], kind: str) -> list[float]:
+    if not np.all(np.isfinite(losses)):
+        raise DivergedLoss(f"{kind} loss became {min(losses, key=np.isfinite)}")
+    return losses
+
+
+# From this width on a stack's per-step arrays outgrow the cache and a stacked
+# step measured slower than separate ones: wide stacks train member by member.
+_STACK_MAX_UNITS = 48
 
 
 @dataclass
 class _TrainingRun:
-    """A mini-batch Adam run that can stop after any epoch and resume as if it
-    never stopped: the weights, Adam's state, and the rng of batches and masks."""
+    """Mini-batch Adam on a stack of same-width networks that can stop after
+    any epoch and resume as if it never stopped: the weights, Adam's state,
+    and each member's own rng of batch orders and dropout masks."""
 
-    weights: LstmWeights
+    weights: LstmWeights  # stacked: `flat` is (members, size)
     adam: _Adam
-    rng: np.random.Generator
-    dropout_rate: float
+    rngs: list[np.random.Generator]
+    hps: list[Hyperparameters]
     epochs_done: int = 0
 
     @classmethod
-    def start(cls, weights: LstmWeights, hp: Hyperparameters,
-              rng: np.random.Generator) -> "_TrainingRun":
-        work = weights.copy()
-        return cls(work, _Adam(work, hp.learning_rate), rng, hp.dropout_rate)
+    def start(cls, weights: Sequence[LstmWeights], hps: Sequence[Hyperparameters],
+              rngs: Sequence[np.random.Generator]) -> "_TrainingRun":
+        work = LstmWeights.packed(np.stack([w.flat for w in weights]),
+                                  weights[0].n_units, weights[0].horizon)
+        return cls(work, _Adam(work, [hp.learning_rate for hp in hps]), list(rngs), list(hps))
 
-    def snapshot(self) -> "_TrainingRun":
-        return replace(self, weights=self.weights.copy(), adam=copy.deepcopy(self.adam),
-                       rng=copy.deepcopy(self.rng))
+    def select(self, rows: list[int]) -> "_TrainingRun":
+        """A run of the members `rows` that shares no state with this one."""
+        w = self.weights
+        return _TrainingRun(LstmWeights.packed(w.flat[rows], w.n_units, w.horizon),
+                            self.adam.select(rows), [copy.deepcopy(self.rngs[j]) for j in rows],
+                            [self.hps[j] for j in rows], self.epochs_done)
 
 
 def _fit(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray, epochs: int,
          batch_size: int, val: tuple[np.ndarray, np.ndarray] | None = None,
          patience: int | None = None, keep_after: int | None = None,
-         ) -> tuple[LstmWeights, _TrainingRun | None]:
-    """Train `run` in place until it has done `epochs` epochs.
+         ) -> tuple[list[LstmWeights], list[_TrainingRun | None]]:
+    """Train the stack `run` until it has done `epochs` epochs; consumes it.
 
-    Returns the best weights and, if `keep_after` is given, a snapshot of
-    the run after that epoch (None if the run never reaches it). "Best"
-    means lowest validation loss when a validation set is given (with early
-    stopping after `patience` stale epochs), otherwise the final weights.
+    Returns each member's best weights and, if `keep_after` is given, each
+    member's own run after that epoch (None if it never reaches it). "Best"
+    means lowest validation loss when a validation set is given (a member
+    leaves the stack after `patience` stale epochs), otherwise the final
+    weights. Every member gets the bits of its own separate run.
     """
-    work, adam, rng, n = run.weights, run.adam, run.rng, inputs.shape[0]
+    if len(run.hps) > 1 and run.weights.n_units >= _STACK_MAX_UNITS:
+        fits = [_fit(run.select([j]), inputs, targets, epochs, batch_size, val, patience,
+                     keep_after) for j in range(len(run.hps))]
+        return [weights[0] for weights, _ in fits], [kept[0] for _, kept in fits]
+    n, rows = inputs.shape[0], list(range(len(run.hps)))  # rows[r]: member at row r
+    out = run.weights.flat.copy() if val is not None else None  # best weights so far
+    best_loss = _mse(run.weights, *val) if val is not None else None
+    stale, kept = [0] * len(rows), [None] * len(rows)
 
-    best = work.copy() if val is not None else None
-    best_loss = _mse(work, *val) if val is not None else np.inf
-    stale, kept = 0, None
-
-    while run.epochs_done < epochs:
-        order = rng.permutation(n)
+    while rows and run.epochs_done < epochs:
+        orders = np.stack([rng.permutation(n) for rng in run.rngs])
         for start in range(0, n, batch_size):
-            batch_idx = order[start : start + batch_size]
-            mask = None
-            if run.dropout_rate > 0.0:
-                keep = rng.random((batch_idx.size, work.n_units)) >= run.dropout_rate
-                mask = keep / (1.0 - run.dropout_rate)
-            loss, grads = loss_and_gradients(work, inputs[batch_idx],
-                                             targets[batch_idx], mask)
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"training loss became {loss}")
-            adam.update(work, grads)
+            batch_idx = orders[:, start : start + batch_size]
+            shape, mask = (batch_idx.shape[1], run.weights.n_units), None
+            if any(hp.dropout_rate for hp in run.hps):  # a rate-0 member draws no mask
+                mask = np.stack([(rng.random(shape) >= hp.dropout_rate) / (1.0 - hp.dropout_rate)
+                                 if hp.dropout_rate else np.ones(shape)
+                                 for rng, hp in zip(run.rngs, run.hps)])
+            losses, grads = loss_and_gradients(run.weights, inputs[batch_idx],
+                                               targets[batch_idx], mask)
+            _finite(losses, "training")
+            run.adam.update(run.weights, grads)
         run.epochs_done += 1
         if run.epochs_done == keep_after:
-            kept = run.snapshot()
-        if val is not None:
-            val_loss = _mse(work, *val)
-            if not np.isfinite(val_loss):
-                raise DivergedLoss(f"validation loss became {val_loss}")
-            if val_loss < best_loss:
-                best, best_loss, stale = work.copy(), val_loss, 0
+            for row, member in enumerate(rows):
+                kept[member] = run.select([row])
+        val_losses = _finite(_mse(run.weights, *val), "validation") if val is not None else []
+        for row, (member, val_loss) in enumerate(zip(rows, val_losses)):
+            if val_loss < best_loss[member]:
+                out[member], best_loss[member], stale[member] = run.weights.flat[row], val_loss, 0
             else:
-                stale += 1
-                if patience is not None and stale > patience:
-                    break
-    return (best if best is not None else work), kept
+                stale[member] += 1
+        stay = [row for row, member in enumerate(rows)
+                if patience is None or stale[member] <= patience]
+        if len(stay) < len(rows):
+            run, rows = run.select(stay), [rows[row] for row in stay]
+    out = run.weights.flat if val is None else out
+    # A stack's rows are copied, so that no member keeps the whole stack alive.
+    return [LstmWeights.packed(f.copy() if len(out) > 1 else f, run.weights.n_units,
+                               run.weights.horizon) for f in out], kept
 
 
-def train(model: ForecastModel, windows: Sequence[SupervisedWindow],
+def train(model: ForecastModel | Sequence[ForecastModel],
+          windows: Sequence[SupervisedWindow],
           val_windows: Sequence[SupervisedWindow], epochs: int,
           batch_size: int = DEFAULT_BATCH_SIZE,
-          patience: int | None = DEFAULT_PATIENCE) -> ForecastModel:
-    """Initial training run; keeps the best-validation weights seen."""
+          patience: int | None = DEFAULT_PATIENCE):
+    """Initial training run; keeps the best-validation weights seen. A list of
+    same-width models trains as one stack, each with the bits of its own call."""
     if not windows:
         raise EmptyTrainingSet("no supervised windows to train on")
+    models = [model] if isinstance(model, ForecastModel) else list(model)
     inputs, targets = stack_windows(windows)
     val = stack_windows(val_windows) if val_windows else None
-    rng = np.random.default_rng([model.rng_seed, 2, model.version])
-    run = _TrainingRun.start(model.weights, model.hyperparameters, rng)
+    run = _TrainingRun.start([m.weights for m in models], [m.hyperparameters for m in models],
+                             [np.random.default_rng([m.rng_seed, 2, m.version]) for m in models])
     weights, _ = _fit(run, inputs, targets, epochs, batch_size, val, patience)
-    return replace(model, weights=weights)
+    trained = [replace(m, weights=w) for m, w in zip(models, weights)]
+    return trained[0] if isinstance(model, ForecastModel) else trained
 
 
 def incremental_update(model: ForecastModel,
                        new_windows: Sequence[SupervisedWindow],
-                       tuned: Hyperparameters,
+                       tuned: Hyperparameters | Sequence[Hyperparameters],
                        epochs: int = 10,
                        batch_size: int = DEFAULT_BATCH_SIZE,
                        keep_run_after: int | None = None,
@@ -515,23 +564,28 @@ def incremental_update(model: ForecastModel,
     epoch m (None if never reached). Passing it as `resume` with the same
     model, windows and rates trains only the epochs after m, with the bits of
     one uninterrupted call of `epochs` epochs; resuming consumes the run.
+    A list of tuned rates trains one stack and returns lists, each member
+    with the bits of its own call.
     """
-    if not new_windows:
-        return model if keep_run_after is None else (model, None)
-    if tuned.n_units != model.hyperparameters.n_units:
-        raise ValueError("n_units is structural; incremental updates cannot change it")
-    inputs, targets = stack_windows(new_windows)
-    if resume is None:
-        rng = np.random.default_rng([model.rng_seed, 2, model.version + 1])
-        resume = _TrainingRun.start(model.weights, tuned, rng)
-    elif ((resume.adam.lr, resume.dropout_rate) != (tuned.learning_rate, tuned.dropout_rate)
-          or resume.epochs_done > epochs):
-        raise ValueError("a resumed run must keep its rates and not be past `epochs`")
-    weights, kept = _fit(resume, inputs, targets, epochs, batch_size,
-                         keep_after=keep_run_after)
-    updated = replace(model, weights=weights, hyperparameters=tuned,
-                      version=model.version + 1)
-    return updated if keep_run_after is None else (updated, kept)
+    hps = [tuned] if isinstance(tuned, Hyperparameters) else list(tuned)
+    models, runs = [model] * len(hps), [None] * len(hps)
+    if new_windows:
+        if any(hp.n_units != model.hyperparameters.n_units for hp in hps):
+            raise ValueError("n_units is structural; incremental updates cannot change it")
+        inputs, targets = stack_windows(new_windows)
+        if resume is None:
+            resume = _TrainingRun.start(
+                [model.weights] * len(hps), hps,
+                [np.random.default_rng([model.rng_seed, 2, model.version + 1]) for _ in hps])
+        elif resume.hps != hps or resume.epochs_done > epochs:
+            raise ValueError("a resumed run must keep its rates and not be past `epochs`")
+        weights, runs = _fit(resume, inputs, targets, epochs, batch_size,
+                             keep_after=keep_run_after)
+        models = [replace(model, weights=w, hyperparameters=hp, version=model.version + 1)
+                  for w, hp in zip(weights, hps)]
+    if isinstance(tuned, Hyperparameters):
+        models, runs = models[0], runs[0]
+    return models if keep_run_after is None else (models, runs)
 
 
 # --- day-level prediction ---------------------------------------------------

@@ -170,6 +170,16 @@ def propose(history: Sequence[TrialRecord], space: SearchSpace, seed: int,
     return unexplored[pos]
 
 
+def seeding_points(space: SearchSpace, budget: int, seed: int,
+                   n_init: int = DEFAULT_N_INIT) -> list[Hyperparameters]:
+    """The first min(budget, n_init, grid) proposals of a search: they read no
+    score, so they are known before any trial runs."""
+    history: list[TrialRecord] = []
+    for _ in range(min(budget, n_init, len(space.all_points()))):
+        history.append(TrialRecord(propose(history, space, seed, n_init), 0.0, 0.0))
+    return [t.hyperparameters for t in history]
+
+
 def optimize(objective: Callable[[Hyperparameters], float], space: SearchSpace,
              budget: int, seed: int, n_init: int = DEFAULT_N_INIT,
              timer: Callable[[], float] = time.perf_counter,
@@ -178,9 +188,10 @@ def optimize(objective: Callable[[Hyperparameters], float], space: SearchSpace,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     history: list[TrialRecord] = []
+    seeding = iter(seeding_points(space, budget, seed, n_init))
     for _ in range(budget):
         try:
-            candidate = propose(history, space, seed, n_init)
+            candidate = next(seeding, None) or propose(history, space, seed, n_init)
         except ExhaustedSpace:
             break
         started = timer()

@@ -15,8 +15,9 @@ day like the passive mode.
 """
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,6 +63,7 @@ from .hpo import (
     DEFAULT_N_UNITS,
     SearchSpace,
     optimize,
+    seeding_points,
 )
 from .ingest import (
     DaySample,
@@ -73,6 +75,9 @@ from .ingest import (
 )
 
 MODES = ("baseline", "passive", "active")
+# The values a numeric field's annotation admits; bool, though an int, is neither.
+_NUMERIC = {"int": numbers.Integral, "float": numbers.Real, "Optional[float]": numbers.Real,
+            "tuple[int, ...]": numbers.Integral, "tuple[float, ...]": numbers.Real}
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,16 @@ class RunConfig:
     retune_units_full_retrain: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _NUMERIC.get(f.type)
+            if kind and any(isinstance(v, bool) or not isinstance(v, kind)
+                            for v in (value if isinstance(value, tuple) else (value,))
+                            if not (v is None and f.type.startswith("Optional"))):
+                raise ConfigError(f"{f.name} must hold numbers of type {f.type}, got {value!r}")
+        try:  # the search space's own rules: non-empty axes, valid rates and widths
+            SearchSpace(self.learning_rates, self.dropout_rates, self.n_units_values).all_points()
+        except ValueError as exc:
+            raise ConfigError(f"bad search space: {exc}") from None
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "active":
@@ -265,6 +280,27 @@ class _CostClock:
         return time.perf_counter() - started
 
 
+def _stacked_search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit):
+    """`optimize` whose first call for a seeding point has `fit` train its
+    same-width seeding group as one stack, giving each member's (score,
+    result); the group's later calls read the cache. Keeps only the best
+    result (lowest score, ties to the earliest trial, as optimize's min)."""
+    seeding, scores, best = seeding_points(space, budget, seed), {}, {}
+
+    def objective(hp: Hyperparameters) -> float:
+        if hp not in scores:
+            group = [p for p in seeding if p.n_units == hp.n_units] if hp in seeding else [hp]
+            for point, (score, result) in zip(group, fit(group)):
+                scores[point] = score
+                key = (score, seeding.index(point) if point in seeding else len(seeding))
+                if not best or key < best["key"]:
+                    best.update(key=key, result=result)
+        return scores[hp]
+
+    best_hp, trials = optimize(objective, space, budget=budget, seed=seed, timer=clock.now)
+    return best_hp, trials, best["result"]
+
+
 def _search_and_train(config: RunConfig, prep: PreparedRun, clock: _CostClock,
                       windows: Sequence[SupervisedWindow], budget: int, seed: int,
                       ) -> tuple[ForecastModel, float, Hyperparameters, float]:
@@ -276,21 +312,18 @@ def _search_and_train(config: RunConfig, prep: PreparedRun, clock: _CostClock,
     space = SearchSpace(learning_rates=config.learning_rates,
                         dropout_rates=config.dropout_rates,
                         n_units_values=config.n_units_values)
-    trained: dict[Hyperparameters, ForecastModel] = {}
 
-    def objective(hp: Hyperparameters) -> float:
-        candidate = new_model(hp, prep.norm, config.input_len, config.horizon,
-                              rng_seed=config.seed)
-        trained[hp] = train(candidate, windows, prep.val_windows,
-                            epochs=config.epochs_initial, batch_size=config.batch_size,
-                            patience=config.patience)
-        return _validation_mape(prep.norm, trained[hp].weights, prep.val_windows)
+    def fit(group: list[Hyperparameters]) -> list[tuple[float, ForecastModel]]:
+        trained = train([new_model(hp, prep.norm, config.input_len, config.horizon,
+                                   rng_seed=config.seed) for hp in group], windows,
+                        prep.val_windows, epochs=config.epochs_initial,
+                        batch_size=config.batch_size, patience=config.patience)
+        return [(_validation_mape(prep.norm, m.weights, prep.val_windows), m) for m in trained]
 
     started = clock.now()
-    best_hp, trials = optimize(objective, space, budget=budget, seed=seed,
-                               timer=clock.now)
+    best_hp, trials, model = _stacked_search(space, budget, seed, clock, fit)
     duration = clock.charge(started, config.epochs_initial, len(windows), len(trials))
-    return trained[best_hp], duration, best_hp, min(t.score for t in trials)
+    return model, duration, best_hp, min(t.score for t in trials)
 
 
 def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
@@ -324,29 +357,22 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
                                learning_rates=config.learning_rates,
                                dropout_rates=config.dropout_rates)
 
-    best = None  # (score, run) of the best probe so far
-
-    def objective(hp: Hyperparameters) -> float:
-        nonlocal best
-        probe, run = incremental_update(model, day_windows, hp,
-                                        epochs=config.hpo_fit_epochs,
-                                        batch_size=config.batch_size,
-                                        keep_run_after=min(config.hpo_fit_epochs,
-                                                           config.epochs_incremental))
-        score = _validation_mape(prep.norm, probe.weights, score_windows)
-        if best is None or score < best[0]:  # the first lowest, as optimize's min
-            best = (score, run)
-        return score
+    def fit(group: list[Hyperparameters]) -> list[tuple[float, object]]:
+        probes, runs = incremental_update(
+            model, day_windows, group, epochs=config.hpo_fit_epochs, batch_size=config.batch_size,
+            keep_run_after=min(config.hpo_fit_epochs, config.epochs_incremental))
+        return [(_validation_mape(prep.norm, probe.weights, score_windows), run)
+                for probe, run in zip(probes, runs)]
 
     started = clock.now()
-    tuned, trials = optimize(objective, space, budget=config.hpo_adapt_budget,
-                             seed=_derived_seed(config.seed, 1, event), timer=clock.now)
+    tuned, trials, best_run = _stacked_search(space, config.hpo_adapt_budget,
+                                              _derived_seed(config.seed, 1, event), clock, fit)
     hpo_duration = clock.charge(started, config.hpo_fit_epochs, len(day_windows),
                                 len(trials))
     started = clock.now()
     updated = incremental_update(model, day_windows, tuned,
                                  epochs=config.epochs_incremental,
-                                 batch_size=config.batch_size, resume=best[1])
+                                 batch_size=config.batch_size, resume=best_run)
     fit_duration = clock.charge(started, config.epochs_incremental, len(day_windows))
     return updated, hpo_duration, fit_duration, tuned, min(t.score for t in trials)
 

@@ -158,6 +158,34 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert searched == []
 
+    @pytest.mark.parametrize("override", [
+        {"learning_rates": [0.01, -1.0]},
+        {"learning_rates": [0.0]},
+        {"dropout_rates": []},
+        {"dropout_rates": [1.0]},
+        {"dropout_rates": [-0.1]},
+        {"n_units_values": [0]},
+        {"n_units_values": [6.5]},
+        {"epochs_initial": "5"},
+        {"batch_size": True},
+        {"load_bandwidth": "wide"},
+        {"learning_rates": ["0.01"]},
+    ])
+    def test_bad_search_space_or_numeric_value_fails_before_search(
+            self, workspace, monkeypatch, override):
+        from driftcast import pipeline
+
+        searched = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: searched.append(args))
+        series = _synth(workspace)
+        bad = workspace / "bad_config.json"
+        bad.write_text(json.dumps({**RUN_CONFIG, **override}))
+        code = main(["run", "--mode", "baseline", "--config", str(bad),
+                     "--input", str(series), "--out", str(workspace / "r.json")])
+        assert code == EXIT_CONFIG
+        assert searched == []
+
 
 class TestCompareAndReport:
     def _two_reports(self, workspace):

@@ -550,3 +550,53 @@ class TestPackedAgainstPerGateReference:
         assert got.tobytes() == expected.tobytes()
         assert strided.tobytes() == expected.reshape(7, 3, 49)[:, 1:].tobytes()
         assert got[0] == 1.0 and got[1] == 0.0 and got[4] == 0.5
+
+
+# --- stacks of same-width networks -------------------------------------------
+
+def _stacked(members):
+    return LstmWeights.packed(np.stack([w.flat for w in members]), members[0].n_units,
+                              members[0].horizon)
+
+
+class TestStackedMembers:
+    @pytest.mark.parametrize("batch", [1, 7, 31, 32])  # 7 and 31: ragged last batches of 32
+    @pytest.mark.parametrize("units", [1, 4, 8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_stack_equals_its_members_separate_calls_bitwise(self, k, units, batch):
+        rng = np.random.default_rng([k, units, batch])
+        members = [LstmWeights.initialize(units, 6, rng) for _ in range(k)]
+        inputs, targets = rng.random((k, batch, 12)), rng.random((k, batch, 6))
+        rates = [0.3, 0.0, 0.5, 0.2, 0.0][:k]  # a rate-0 member takes no mask alone
+        masks = [(rng.random((batch, units)) >= r) / (1.0 - r) if r else None for r in rates]
+        stacked_mask = np.stack([np.ones((batch, units)) if m is None else m for m in masks])
+        learning_rates = [0.01, 0.001, 0.03, 0.002, 0.005][:k]
+        for mask, member_masks in ((None, [None] * k), (stacked_mask, masks)):
+            stack = _stacked(members)
+            losses, grads = loss_and_gradients(stack, inputs, targets, mask)
+            outputs = batch_forward(stack, inputs, mask)
+            shared = batch_forward(stack, inputs[0])
+            _Adam(stack, learning_rates).update(stack, grads)
+            assert len(losses) == k
+            for j, weights in enumerate(members):
+                loss, member_grads = loss_and_gradients(weights, inputs[j], targets[j],
+                                                        member_masks[j])
+                assert losses[j] == loss
+                assert grads.flat[j].tobytes() == member_grads.flat.tobytes()
+                assert outputs[j].tobytes() == batch_forward(
+                    weights, inputs[j], member_masks[j]).tobytes()
+                assert shared[j].tobytes() == batch_forward(weights, inputs[0]).tobytes()
+                single = weights.copy()
+                _Adam(single, learning_rates[j]).update(single, member_grads)
+                assert stack.flat[j].tobytes() == single.flat.tobytes()
+
+    def test_stacked_train_returns_one_model_per_member(self):
+        rng = np.random.default_rng(17)
+        windows, val = _training_set(rng, n_days=2)
+        models = [_model(seed=2, dropout=rate) for rate in (0.0, 0.2)]
+        trained = train(models, windows, val, epochs=2)
+        assert [m.hyperparameters for m in trained] == [m.hyperparameters for m in models]
+        for model, got in zip(models, trained):
+            assert got.weights.flat.tobytes() == train(model, windows, val,
+                                                       epochs=2).weights.flat.tobytes()
+            assert got.weights.flat.base is None  # it owns its row, not the whole stack

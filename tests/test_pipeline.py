@@ -232,9 +232,9 @@ class TestResumedFinalFit:
         calls = [0]
         loss_and_gradients = forecaster.loss_and_gradients
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return loss_and_gradients(*args, **kwargs)
+        def counting(weights, *args, **kwargs):
+            calls[0] += np.atleast_2d(weights.flat).shape[0]  # one batch per stacked member
+            return loss_and_gradients(weights, *args, **kwargs)
 
         per_event = []
         update_model = pipeline._update_model
@@ -367,3 +367,62 @@ class TestStructuralRetune:
         # the full search's trials are its fits: all of it is fitting time
         assert all(e.duration == 0.0 for e in report.ledger.entries if e.kind == "hpo")
         assert all(e.duration > 0.0 for e in report.ledger.entries if e.kind == "adaptation")
+
+
+class TestStackedSearch:
+    def test_initial_search_trains_its_seeding_stack_once(self, monkeypatch):
+        # Three same-width seeding trials stop at different epochs; one stack
+        # pays one call per batch for as many epochs as its longest member.
+        from driftcast import forecaster
+        from driftcast.hpo import seeding_points
+
+        config = dataclasses.replace(_small_config(), hpo_initial_budget=3, epochs_initial=8,
+                                     patience=0, learning_rates=(0.0001, 0.001, 0.01))
+        prep = prepare_run(config, _small_series())
+        calls = [0]
+        loss_and_gradients = forecaster.loss_and_gradients
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return loss_and_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(forecaster, "loss_and_gradients", counting)
+        space = pipeline.SearchSpace(config.learning_rates, config.dropout_rates,
+                                     config.n_units_values)
+        batches = -(-len(prep.train_windows) // config.batch_size)
+        epochs_run = []
+        for hp in seeding_points(space, 3, pipeline._derived_seed(config.seed, 0)):
+            calls[0] = 0
+            forecaster.train(forecaster.new_model(hp, prep.norm, rng_seed=config.seed),
+                             prep.train_windows, prep.val_windows, epochs=config.epochs_initial,
+                             patience=config.patience)
+            epochs_run.append(calls[0] // batches)
+        assert len(set(epochs_run)) > 1  # the members really stop at different epochs
+        calls[0] = 0
+        run_baseline(config, _small_series())
+        assert calls[0] == max(epochs_run) * batches
+
+    def test_only_the_first_lowest_trial_is_kept_across_interleaved_widths(self):
+        from driftcast.hpo import seeding_points
+
+        space = pipeline.SearchSpace(learning_rates=(0.001, 0.01), dropout_rates=(0.0, 0.2),
+                                     n_units_values=(4, 8))
+        clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
+        seeding = seeding_points(space, 7, 3)
+        # Widths 8, 4, 8, ...: the first group trained holds trials 0 and 2, so a
+        # tie between trials 1 and 2 must still go to trial 1, as optimize's min.
+        assert [hp.n_units for hp in seeding[:3]] == [8, 4, 8]
+        for score in (lambda hp: 1.0, lambda hp: 2.0 if hp == seeding[0] else 1.0,
+                      lambda hp: hp.n_units + hp.dropout_rate, lambda hp: -hp.learning_rate):
+            groups = []
+
+            def fit(group):
+                groups.append(group)
+                return [(score(hp), hp) for hp in group]
+
+            best_hp, trials, kept = pipeline._stacked_search(space, 7, 3, clock, fit)
+            assert [t.hyperparameters for t in trials[:5]] == seeding
+            assert kept == best_hp == min(trials, key=lambda t: t.score).hyperparameters
+            assert all(len({hp.n_units for hp in group}) == 1 for group in groups)
+            assert {hp for group in groups[:2] for hp in group} == set(seeding)
+            assert [len(group) for group in groups[2:]] == [1, 1]  # surrogate trials alone

@@ -1,6 +1,6 @@
 """Property tests: divergence bounds, p-value order, nested taus, exact kernel
-sums, resumed training runs, and the ingest round trip, gap filling and day
-segmentation."""
+sums, resumed and stacked training runs, the search's score-free seeding, and
+the ingest round trip, gap filling and day segmentation."""
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -18,7 +18,9 @@ from driftcast.forecaster import (
     build_windows,
     incremental_update,
     new_model,
+    train,
 )
+from driftcast.hpo import SearchSpace, optimize, seeding_points
 from driftcast.ingest import (
     DaySample,
     LoadSeries,
@@ -128,6 +130,66 @@ def test_resumed_probe_equals_a_fresh_update_bitwise(probe_epochs, epochs, dropo
     assert resumed.weights.flat.tobytes() == fresh.weights.flat.tobytes()
     assert (resumed.version, resumed.hyperparameters) == (fresh.version,
                                                           fresh.hyperparameters)
+
+
+stack_rates = st.lists(st.tuples(st.sampled_from([0.3, 0.05, 0.01, 0.001]),
+                                st.sampled_from([0.0, 0.2, 0.5])),
+                      min_size=1, max_size=4, unique_by=lambda pair: pair[0])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(stack_rates, st.integers(min_value=0, max_value=1),
+       st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**16))
+def test_a_stacked_train_equals_separate_calls_bitwise(rates, patience, n_windows, seed):
+    # Distinct learning rates with patience 0-1 stop members at different epochs.
+    rng = np.random.default_rng(seed)
+    models = [new_model(Hyperparameters(learning_rate=lr, dropout_rate=dr, n_units=4),
+                        NormStats(vmin=0.0, vmax=1.0), rng_seed=seed) for lr, dr in rates]
+    windows = build_windows(rng.random(n_windows + 17), 12, 6)
+    val = build_windows(rng.random(40), 12, 6)
+    stacked = train(models, windows, val, epochs=6, batch_size=8, patience=patience)
+    for model, got in zip(models, stacked, strict=True):
+        alone = train(model, windows, val, epochs=6, batch_size=8, patience=patience)
+        assert got.weights.flat.tobytes() == alone.weights.flat.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(stack_rates, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**16))
+def test_a_stacked_update_resumes_like_separate_calls_bitwise(rates, probe_epochs, epochs,
+                                                              n_windows, seed):
+    rng = np.random.default_rng(seed)
+    tuned = [Hyperparameters(learning_rate=lr, dropout_rate=dr, n_units=4) for lr, dr in rates]
+    model = new_model(tuned[0], NormStats(vmin=0.0, vmax=1.0), rng_seed=seed)
+    windows = build_windows(rng.random(n_windows + 17), 12, 6)
+    kept = min(probe_epochs, epochs)
+    probes, runs = incremental_update(model, windows, tuned, epochs=probe_epochs,
+                                      batch_size=8, keep_run_after=kept)
+    for hp, probe, run in zip(tuned, probes, runs, strict=True):
+        alone, _ = incremental_update(model, windows, hp, epochs=probe_epochs, batch_size=8,
+                                      keep_run_after=kept)
+        assert probe.weights.flat.tobytes() == alone.weights.flat.tobytes()
+        assert run.epochs_done == kept
+        resumed = incremental_update(model, windows, hp, epochs=epochs, batch_size=8,
+                                     resume=run)
+        fresh = incremental_update(model, windows, hp, epochs=epochs, batch_size=8)
+        assert resumed.weights.flat.tobytes() == fresh.weights.flat.tobytes()
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=2**16), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3))
+def test_optimize_opens_with_the_score_free_seeding_points(budget, n_init, seed,
+                                                           n_rates, n_widths):
+    space = SearchSpace(learning_rates=(0.0001, 0.001, 0.01)[:n_rates],
+                        dropout_rates=(0.0, 0.2), n_units_values=(4, 8, 16)[:n_widths])
+    seeding = seeding_points(space, budget, seed, n_init)
+    assert len(seeding) == min(budget, n_init, len(space.all_points()))
+    for objective in (lambda hp: hp.learning_rate + hp.dropout_rate,
+                      lambda hp: -hp.n_units - 10.0 * hp.dropout_rate):
+        _, history = optimize(objective, space, budget=budget, seed=seed, n_init=n_init)
+        assert [t.hyperparameters for t in history[: len(seeding)]] == seeding
 
 
 @st.composite

@@ -11,9 +11,12 @@ report differs from, or is missing in, DIR.
 The matrix: 26-day and 120-day synthetic streams (seeds 0-1) in baseline,
 passive and active mode at tau 0.15, 0 and 1; passive runs that tune three
 probes over dropout 0, 0.2 and 0.4 with `hpo_fit_epochs` below, equal to and
-above `epochs_incremental`; and `retune_units_full_retrain` runs. Capture a
-golden directory from the parent tree (point PYTHONPATH at its `src`), then
-compare with the change's tree.
+above `epochs_incremental`; `retune_units_full_retrain` runs; and initial
+searches whose score-free seeding trials train as stacks: three learning
+rates whose members stop early at different epochs (patience 1), a budget
+above `n_init` so surrogate trials follow the seeding batch, and a seeding
+batch that mixes 4 and 8 units. Capture a golden directory from the parent
+tree (point PYTHONPATH at its `src`), then compare with the change's tree.
 """
 from __future__ import annotations
 
@@ -79,6 +82,13 @@ def cases():
             config = replace(d26, retune_units_full_retrain=True, n_units_values=(4, 8),
                              **POLICIES[policy])
             yield f"d26-retrain-{policy}-s{seed}", config, series["d26"]
+        three_rates = replace(d26, hpo_initial_budget=3, learning_rates=(0.0001, 0.001, 0.01))
+        yield (f"d26-stop-s{seed}", replace(three_rates, mode="passive", epochs_initial=12,
+                                            patience=1), series["d26"])
+        yield (f"d26-gp-s{seed}", replace(three_rates, hpo_initial_budget=7,
+                                          dropout_rates=(0.0, 0.2, 0.4)), series["d26"])
+        yield (f"d26-mixed-s{seed}", replace(d26, hpo_initial_budget=5, n_units_values=(4, 8),
+                                             dropout_rates=(0.0, 0.2)), series["d26"])
 
 
 def main(argv=None) -> int:
