@@ -442,11 +442,6 @@ def _finite(losses: list[float], kind: str) -> list[float]:
     return losses
 
 
-# From this width on a stack's per-step arrays outgrow the cache and a stacked
-# step measured slower than separate ones: wide stacks train member by member.
-_STACK_MAX_UNITS = 48
-
-
 @dataclass
 class _TrainingRun:
     """Mini-batch Adam on a stack of same-width networks that can stop after
@@ -486,10 +481,6 @@ def _fit(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray, epochs: int
     leaves the stack after `patience` stale epochs), otherwise the final
     weights. Every member gets the bits of its own separate run.
     """
-    if len(run.hps) > 1 and run.weights.n_units >= _STACK_MAX_UNITS:
-        fits = [_fit(run.select([j]), inputs, targets, epochs, batch_size, val, patience,
-                     keep_after) for j in range(len(run.hps))]
-        return [weights[0] for weights, _ in fits], [kept[0] for _, kept in fits]
     n, rows = inputs.shape[0], list(range(len(run.hps)))  # rows[r]: member at row r
     out = run.weights.flat.copy() if val is not None else None  # best weights so far
     best_loss = _mse(run.weights, *val) if val is not None else None

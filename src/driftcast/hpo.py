@@ -172,11 +172,14 @@ def propose(history: Sequence[TrialRecord], space: SearchSpace, seed: int,
 
 def seeding_points(space: SearchSpace, budget: int, seed: int,
                    n_init: int = DEFAULT_N_INIT) -> list[Hyperparameters]:
-    """The first min(budget, n_init, grid) proposals of a search: they read no
-    score, so they are known before any trial runs."""
+    """The first min(budget, n_init, distinct grid points) proposals of a
+    search: they read no score, so they are known before any trial runs."""
     history: list[TrialRecord] = []
-    for _ in range(min(budget, n_init, len(space.all_points()))):
-        history.append(TrialRecord(propose(history, space, seed, n_init), 0.0, 0.0))
+    for _ in range(min(budget, n_init)):
+        try:
+            history.append(TrialRecord(propose(history, space, seed, n_init), 0.0, 0.0))
+        except ExhaustedSpace:  # an axis that repeats a value has fewer distinct points
+            break
     return [t.hyperparameters for t in history]
 
 

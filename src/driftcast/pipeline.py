@@ -280,16 +280,22 @@ class _CostClock:
         return time.perf_counter() - started
 
 
+# Seeding trials stack only up to this width: from 56 units on a stack of 5
+# measured slower than its members' separate steps (README, "Training cost").
+_STACK_MAX_UNITS = 48
+
+
 def _stacked_search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit):
-    """`optimize` whose first call for a seeding point has `fit` train its
-    same-width seeding group as one stack, giving each member's (score,
-    result); the group's later calls read the cache. Keeps only the best
-    result (lowest score, ties to the earliest trial, as optimize's min)."""
+    """`optimize` whose first call for a seeding point of at most _STACK_MAX_UNITS
+    units has `fit` train its same-width seeding group as one stack, giving each
+    member's (score, result); the group's later calls read the cache. Keeps only
+    the best result (lowest score, ties to the earliest trial, as optimize's min)."""
     seeding, scores, best = seeding_points(space, budget, seed), {}, {}
 
     def objective(hp: Hyperparameters) -> float:
         if hp not in scores:
-            group = [p for p in seeding if p.n_units == hp.n_units] if hp in seeding else [hp]
+            stacked = hp in seeding and hp.n_units <= _STACK_MAX_UNITS
+            group = [p for p in seeding if p.n_units == hp.n_units] if stacked else [hp]
             for point, (score, result) in zip(group, fit(group)):
                 scores[point] = score
                 key = (score, seeding.index(point) if point in seeding else len(seeding))

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from driftcast.errors import ExhaustedSpace
-from driftcast.hpo import SearchSpace, TrialRecord, optimize, propose
+from driftcast.hpo import SearchSpace, TrialRecord, optimize, propose, seeding_points
 
 
 def quadratic(hp):
@@ -94,6 +94,14 @@ class TestOptimize:
                             n_units_values=(32,))
         _, history = optimize(quadratic, space, budget=10, seed=1)
         assert len(history) == 2
+
+    def test_a_repeated_axis_value_stops_at_the_distinct_points(self):
+        space = SearchSpace(learning_rates=(0.01, 0.01), dropout_rates=(0.0,),
+                            n_units_values=(32,))
+        assert len(space.all_points()) == 2
+        assert len(seeding_points(space, budget=5, seed=1)) == 1
+        _, history = optimize(quadratic, space, budget=5, seed=1)
+        assert len(history) == 1
 
     def test_deterministic_given_seed(self):
         first = optimize(quadratic, SPACE, budget=12, seed=9)

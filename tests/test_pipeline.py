@@ -91,6 +91,16 @@ class TestPassive:
         assert [e.day_index for e in adaptations] == \
                [d.day_index for d in report.daily_errors]
 
+    def test_a_repeated_learning_rate_searches_its_one_distinct_point(self):
+        # Both searches stop at exhaustion after the one distinct point, as a
+        # one-rate space would.
+        single = dataclasses.replace(_small_config("passive"), hpo_initial_budget=2,
+                                     hpo_adapt_budget=2)
+        repeated = dataclasses.replace(single, learning_rates=(0.01, 0.01))
+        expected, report = run_passive(single, _small_series()), run_passive(repeated, _small_series())
+        assert report.daily_errors == expected.daily_errors
+        assert report.hpo_events == expected.hpo_events
+
     def test_hpo_events_cover_every_update(self):
         report = run_passive(_small_config("passive"), _small_series())
         assert [h.event for h in report.hpo_events] == [0, 1, 2, 3]
@@ -426,3 +436,23 @@ class TestStackedSearch:
             assert all(len({hp.n_units for hp in group}) == 1 for group in groups)
             assert {hp for group in groups[:2] for hp in group} == set(seeding)
             assert [len(group) for group in groups[2:]] == [1, 1]  # surrogate trials alone
+
+    def test_only_narrow_seeding_groups_train_as_a_stack(self):
+        from driftcast.hpo import seeding_points
+
+        space = pipeline.SearchSpace(learning_rates=(0.0001, 0.001, 0.01), dropout_rates=(0.0,),
+                                     n_units_values=(32, 64))
+        clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
+        seeding, groups = seeding_points(space, 5, 0), []
+
+        def fit(group):
+            groups.append(group)
+            return [(hp.learning_rate, hp) for hp in group]
+
+        best_hp, trials, kept = pipeline._stacked_search(space, 5, 0, clock, fit)
+        narrow = [hp for hp in seeding if hp.n_units <= pipeline._STACK_MAX_UNITS]
+        assert len(narrow) > 1 and len(narrow) < len(seeding)
+        assert narrow in groups
+        assert all(len(group) == 1 for group in groups if group != narrow)
+        assert len(groups) == 1 + len(seeding) - len(narrow)
+        assert kept == best_hp == min(trials, key=lambda t: t.score).hyperparameters
