@@ -39,12 +39,10 @@ from .forecaster import (
     SupervisedWindow,
     build_windows,
     incremental_update,
-    lstm_forward,
     load_model,
     new_model,
     predict_day,
     save_model,
-    seasonal_naive,
     train,
 )
 from .hpo import SearchSpace, TrialRecord, optimize, propose

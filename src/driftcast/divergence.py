@@ -2,9 +2,8 @@
 
 The Jensen-Shannon divergence is computed in log base 2 so its value is
 bounded in [0, 1]; its square root satisfies the triangle inequality and
-is the distance the drift detector consumes. Two algebraically equivalent
-formulations are kept: the mixture form (production path) and the entropy
-form (numerical cross-check).
+is the distance the drift detector consumes. The JSD is computed in its
+mixture form; the tests cross-check it against the entropy form.
 """
 from __future__ import annotations
 
@@ -85,14 +84,6 @@ def _kl_bits_vs(p: DensityEstimate, m: np.ndarray) -> float:
     pos = pd > 0
     integrand[pos] = pd[pos] * np.log2(pd[pos] / m[pos])
     return float(np.trapezoid(integrand, dx=p.grid.spacing))
-
-
-def jsd_entropy(p: DensityEstimate, q: DensityEstimate) -> float:
-    """Entropy form H(m) - (H(p) + H(q)) / 2 in bits; cross-check variant."""
-    _require_same_grid(p, q)
-    m = DensityEstimate(grid=p.grid, density=0.5 * (p.density + q.density),
-                        bandwidth=p.bandwidth, n_samples=p.n_samples + q.n_samples)
-    return shannon_entropy(m) - 0.5 * (shannon_entropy(p) + shannon_entropy(q))
 
 
 def sqrt_jsd(p: DensityEstimate, q: DensityEstimate) -> DivergenceValue:

@@ -8,11 +8,12 @@ percentage error improvement by the total cost.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from datetime import date
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -98,13 +99,13 @@ def daily_error(day_index: date, hourly_pairs: Sequence[tuple],
 class CostEntry:
     day_index: date
     kind: str
-    duration: float  # seconds
+    duration_seconds: float
 
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if self.duration < 0:
-            raise NegativeDuration(f"duration {self.duration} is negative")
+        if self.duration_seconds < 0:
+            raise NegativeDuration(f"duration {self.duration_seconds} is negative")
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,14 @@ class CostLedger:
 
     @property
     def total(self) -> float:
-        return sum((entry.duration / 60.0) * self.price_rate for entry in self.entries)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for entry in self.entries if entry.kind == kind)
+        return sum((entry.duration_seconds / 60.0) * self.price_rate
+                   for entry in self.entries)
 
 
 def record_cost(ledger: CostLedger, day: date, kind: str, duration: float,
                 ) -> CostLedger:
     """Append one priced event; durations are seconds, never negative."""
-    entry = CostEntry(day_index=day, kind=kind, duration=duration)
+    entry = CostEntry(day_index=day, kind=kind, duration_seconds=duration)
     return replace(ledger, entries=ledger.entries + (entry,))
 
 
@@ -144,6 +143,43 @@ def trade_off_score(improvement_percent: float, total_cost: float) -> float:
 
 
 # --- run report ----------------------------------------------------------------
+
+def _plain(value):
+    """A report value as JSON data: a record becomes a dict, a date its ISO
+    text, a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+def _typed(kind, value):
+    """The inverse of _plain for a value annotated `kind`."""
+    if value is None:
+        return None
+    if get_origin(kind) is Union:  # Optional[x]
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        return tuple(_typed(get_args(kind)[0], v) for v in value)
+    if is_dataclass(kind):
+        return _record(kind, value)
+    if kind is date:
+        return date.fromisoformat(value)
+    return dict(value) if kind is dict else value
+
+
+# get_type_hints evaluates the annotation strings; once per record class will do.
+_field_types = functools.cache(get_type_hints)
+
+
+def _record(cls, data: dict):
+    """An instance of the record class `cls` from its _plain dict."""
+    hints = _field_types(cls)
+    return cls(**{f.name: _typed(hints[f.name], data[f.name]) for f in fields(cls)})
+
 
 @dataclass(frozen=True)
 class HpoEventRecord:
@@ -179,51 +215,11 @@ class EvaluationReport:
         return self.ledger.total
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "mode": self.mode,
-            "tau": self.tau,
-            "series_sha256": self.series_sha256,
-            "seed": self.seed,
-            "split": dict(self.split),
-            "daily_errors": [
-                {"day_index": e.day_index.isoformat(), "mape": e.mape, "rmse": e.rmse}
-                for e in self.daily_errors
-            ],
-            "mean_mape": self.mean_mape,
-            "std_mape": self.std_mape,
-            "mean_rmse": self.mean_rmse,
-            "std_rmse": self.std_rmse,
-            "drift_decisions": [
-                {
-                    "day_index": d.day_index.isoformat(),
-                    "divergence": d.divergence,
-                    "p_value": d.p_value,
-                    "is_drift": d.is_drift,
-                    "tau": d.tau,
-                }
-                for d in self.drift_decisions
-            ],
-            "adaptation_count": self.adaptation_count,
-            "price_rate": self.ledger.price_rate,
-            "cost_entries": [
-                {"day_index": c.day_index.isoformat(), "kind": c.kind,
-                 "duration_seconds": c.duration}
-                for c in self.ledger.entries
-            ],
-            "total_cost": self.total_cost,
-            "hpo_events": [
-                {
-                    "event": h.event,
-                    "day_index": h.day_index.isoformat() if h.day_index else None,
-                    "learning_rate": h.learning_rate,
-                    "dropout_rate": h.dropout_rate,
-                    "n_units": h.n_units,
-                    "loss": h.loss,
-                }
-                for h in self.hpo_events
-            ],
-        }
+        data = _plain(self)
+        ledger = data.pop("ledger")
+        return {**data, "schema_version": REPORT_SCHEMA_VERSION,
+                "price_rate": ledger["price_rate"], "cost_entries": ledger["entries"],
+                "total_cost": self.total_cost}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -232,40 +228,8 @@ class EvaluationReport:
     def from_dict(cls, data: dict) -> "EvaluationReport":
         if data.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {data.get('schema_version')}")
-        ledger = CostLedger(
-            price_rate=data["price_rate"],
-            entries=tuple(CostEntry(day_index=date.fromisoformat(c["day_index"]),
-                                    kind=c["kind"], duration=c["duration_seconds"])
-                          for c in data["cost_entries"]))
-        return cls(
-            mode=data["mode"],
-            tau=data["tau"],
-            series_sha256=data["series_sha256"],
-            seed=data["seed"],
-            split=dict(data["split"]),
-            daily_errors=tuple(DailyError(day_index=date.fromisoformat(e["day_index"]),
-                                          mape=e["mape"], rmse=e["rmse"])
-                               for e in data["daily_errors"]),
-            mean_mape=data["mean_mape"],
-            std_mape=data["std_mape"],
-            mean_rmse=data["mean_rmse"],
-            std_rmse=data["std_rmse"],
-            drift_decisions=tuple(
-                DriftDecision(day_index=date.fromisoformat(d["day_index"]),
-                              divergence=d["divergence"], p_value=d["p_value"],
-                              is_drift=d["is_drift"], tau=d["tau"])
-                for d in data["drift_decisions"]),
-            adaptation_count=data["adaptation_count"],
-            ledger=ledger,
-            hpo_events=tuple(
-                HpoEventRecord(event=h["event"],
-                               day_index=(date.fromisoformat(h["day_index"])
-                                          if h["day_index"] else None),
-                               learning_rate=h["learning_rate"],
-                               dropout_rate=h["dropout_rate"],
-                               n_units=h["n_units"], loss=h["loss"])
-                for h in data["hpo_events"]),
-        )
+        ledger = {"price_rate": data["price_rate"], "entries": data["cost_entries"]}
+        return _record(cls, {**data, "ledger": ledger})
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -211,16 +211,13 @@ class SupervisedWindow:
 
 
 def build_windows(series_segment, input_len: int = DEFAULT_INPUT_LEN,
-                  horizon: int = DEFAULT_HORIZON, stride: int = 1,
-                  ) -> list[SupervisedWindow]:
+                  horizon: int = DEFAULT_HORIZON) -> list[SupervisedWindow]:
     """All maximal input/target windows over a contiguous segment."""
     if input_len < 1 or horizon < 1:
         raise ValueError("input_len and horizon must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     seg = np.asarray(series_segment, dtype=float).ravel()
     windows = []
-    for start in range(0, seg.size - input_len - horizon + 1, stride):
+    for start in range(seg.size - input_len - horizon + 1):
         windows.append(SupervisedWindow(
             input=seg[start : start + input_len].copy(),
             target=seg[start + input_len : start + input_len + horizon].copy()))
@@ -376,16 +373,6 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
         grads.R += np.matmul(d_all.swapaxes(-1, -2), h_prev, out=grad_R_t)
 
     return (losses if lead else losses[0]), grads
-
-
-def lstm_forward(model: ForecastModel, inputs) -> np.ndarray:
-    """Deterministic inference on one normalized input window."""
-    x = np.asarray(inputs, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("forecast input contains NaN or infinity")
-    if x.size != model.input_len:
-        raise ValueError(f"expected {model.input_len} input steps, got {x.size}")
-    return batch_forward(model.weights, x[None, :])[0]
 
 
 # --- training -------------------------------------------------------------
@@ -611,57 +598,35 @@ def predict_day(model: ForecastModel, day_context, day_readings) -> list[np.ndar
     return [model.norm_stats.denormalize(row) for row in predictions]
 
 
-def seasonal_naive(day_context, readings_per_day: int) -> list[np.ndarray]:
-    """Plumbing comparator: each hour repeats the same hour of yesterday."""
-    context = np.asarray(day_context, dtype=float).ravel()
-    if context.size < readings_per_day:
-        raise InsufficientContext(f"need a full previous day ({readings_per_day} "
-                                  f"readings), got {context.size}")
-    if readings_per_day % 24 != 0:
-        raise ValueError(f"readings_per_day {readings_per_day} is not divisible by 24")
-    steps_per_hour = readings_per_day // 24
-    previous_day = context[-readings_per_day:]
-    return [previous_day[h * steps_per_hour : (h + 1) * steps_per_hour].copy()
-            for h in range(24)]
-
-
 # --- checkpointing ----------------------------------------------------------
 
 _CHECKPOINT_VERSION = 2
 
 
 def save_model(model: ForecastModel, path) -> None:
-    """Dump the packed parameter vector plus metadata; round-trips bit-exactly."""
-    meta = {
-        "checkpoint_version": _CHECKPOINT_VERSION,
-        "learning_rate": model.hyperparameters.learning_rate,
-        "dropout_rate": model.hyperparameters.dropout_rate,
-        "n_units": model.hyperparameters.n_units,
-        "vmin": model.norm_stats.vmin,
-        "vmax": model.norm_stats.vmax,
-        "input_len": model.input_len,
-        "horizon": model.horizon,
-        "rng_seed": model.rng_seed,
-        "version": model.version,
-    }
+    """Dump the packed parameter vector plus metadata; round-trips bit-exactly.
+
+    The metadata holds the hyperparameters' and norm stats' fields and the
+    model's own integer fields, all under their field names."""
+    meta = {"checkpoint_version": _CHECKPOINT_VERSION, **asdict(model.hyperparameters),
+            **asdict(model.norm_stats),
+            **{f.name: getattr(model, f.name) for f in fields(model) if f.type == "int"}}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              weights=model.weights.flat)
+
+
+def _take(record, meta: dict):
+    """The `record` dataclass built from its fields, popped from `meta`."""
+    return record(**{f.name: meta.pop(f.name) for f in fields(record)})
 
 
 def load_model(path) -> ForecastModel:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["checkpoint_version"] != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['checkpoint_version']}")
+        version = meta.pop("checkpoint_version")
+        if version != _CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
         weights = LstmWeights.packed(data["weights"], meta["n_units"], meta["horizon"])
-    return ForecastModel(
-        weights=weights,
-        hyperparameters=Hyperparameters(learning_rate=meta["learning_rate"],
-                                        dropout_rate=meta["dropout_rate"],
-                                        n_units=meta["n_units"]),
-        norm_stats=NormStats(vmin=meta["vmin"], vmax=meta["vmax"]),
-        input_len=meta["input_len"],
-        horizon=meta["horizon"],
-        rng_seed=meta["rng_seed"],
-        version=meta["version"],
-    )
+    hyperparameters, norm_stats = _take(Hyperparameters, meta), _take(NormStats, meta)
+    return ForecastModel(weights=weights, hyperparameters=hyperparameters,
+                         norm_stats=norm_stats, **meta)

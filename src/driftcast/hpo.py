@@ -89,10 +89,6 @@ class TrialRecord:
             raise ValueError(f"trial score must be finite, got {self.score}")
 
 
-def _point_key(hp: Hyperparameters) -> tuple:
-    return (hp.learning_rate, hp.dropout_rate, hp.n_units)
-
-
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
 
@@ -138,35 +134,31 @@ def propose(history: Sequence[TrialRecord], space: SearchSpace, seed: int,
     improvement over the incumbent.
     """
     points = space.all_points()
-    tried = {_point_key(t.hyperparameters) for t in history}
-    unexplored = [hp for hp in points if _point_key(hp) not in tried]
+    tried = {t.hyperparameters for t in history}
+    unexplored = [hp for hp in points if hp not in tried]
     if not unexplored:
         raise ExhaustedSpace(f"all {len(points)} points have been evaluated")
 
     order = np.random.default_rng([seed, 3]).permutation(len(points))
-    rank = {_point_key(points[idx]): pos for pos, idx in enumerate(order)}
+    rank = {points[idx]: pos for pos, idx in enumerate(order)}
 
     if not history:
-        return min(unexplored, key=lambda hp: rank[_point_key(hp)])
+        return min(unexplored, key=rank.__getitem__)
 
     if len(history) < n_init:
         tried_x = np.stack([space.normalize(t.hyperparameters) for t in history])
-        best_hp = None
-        best_key = None
-        for hp in unexplored:
-            x = space.normalize(hp)
-            spread = float(np.min(np.linalg.norm(tried_x - x, axis=1)))
-            key = (-spread, rank[_point_key(hp)])
-            if best_key is None or key < best_key:
-                best_hp, best_key = hp, key
-        return best_hp
+
+        def spread(hp: Hyperparameters) -> float:
+            return float(np.min(np.linalg.norm(tried_x - space.normalize(hp), axis=1)))
+
+        return min(unexplored, key=lambda hp: (-spread(hp), rank[hp]))
 
     train_x = np.stack([space.normalize(t.hyperparameters) for t in history])
     train_y = np.array([t.score for t in history])
     candidates = np.stack([space.normalize(hp) for hp in unexplored])
     ei = _expected_improvement(train_x, train_y, candidates)
     pos = min(range(len(unexplored)),
-              key=lambda j: (-ei[j], rank[_point_key(unexplored[j])]))
+              key=lambda j: (-ei[j], rank[unexplored[j]]))
     return unexplored[pos]
 
 

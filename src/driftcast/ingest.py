@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterator
 
 import numpy as np
 
@@ -65,16 +65,8 @@ class LoadSeries:
     def is_gapless(self) -> bool:
         return not bool(np.isnan(self.values).any())
 
-    @property
-    def n_missing(self) -> int:
-        return int(np.isnan(self.values).sum())
-
     def timestamp_at(self, index: int) -> datetime:
         return self.start_time + index * self.resolution
-
-    def timestamps(self) -> Iterator[datetime]:
-        for i in range(len(self)):
-            yield self.timestamp_at(i)
 
 
 @dataclass(frozen=True)
@@ -103,11 +95,10 @@ class SplitSpec:
 
 
 def readings_per_day(resolution: timedelta) -> int:
-    seconds = resolution.total_seconds()
-    slots = 86400.0 / seconds
-    if abs(slots - round(slots)) > 1e-9:
+    slots, rest = divmod(timedelta(days=1), resolution)
+    if rest:
         raise ValueError(f"resolution {resolution} does not divide a day evenly")
-    return int(round(slots))
+    return slots
 
 
 # --- CSV parsing ------------------------------------------------------------
@@ -176,10 +167,7 @@ def parse_load_csv(path,
         return LoadSeries(start_time=start, resolution=DEFAULT_RESOLUTION,
                           values=np.array([rows[0][1]]))
 
-    gaps = [(b[0] - a[0]) for a, b in zip(rows, rows[1:])]
-    counts: dict[timedelta, int] = {}
-    for gap in gaps:
-        counts[gap] = counts.get(gap, 0) + 1
+    counts = Counter(b[0] - a[0] for a, b in zip(rows, rows[1:]))
     resolution = max(counts.items(), key=lambda kv: (kv[1], -kv[0].total_seconds()))[0]
 
     step = resolution.total_seconds()
@@ -273,42 +261,28 @@ class DaySegmentation(Sequence):
 
 
 def segment_days(series: LoadSeries) -> DaySegmentation:
-    """Cut a gapless series into complete calendar days."""
+    """Cut a gapless series into complete calendar days.
+
+    The slots are regular and the resolution divides a day, so midnight
+    falls on a slot only when the start lies on the resolution's grid:
+    first at slot (-slots_since_midnight) % rpd, then every rpd slots.
+    """
     if not series.is_gapless:
         raise ValueError("segment_days requires a gapless series; fill gaps first")
-    rpd = readings_per_day(series.resolution)
-
-    slot_days = [series.timestamp_at(i).date() for i in range(len(series))]
-    days: list[DaySample] = []
-    dropped_leading = 0
-    dropped_trailing = 0
-    dropped_anomalous = 0
-
-    i = 0
-    n = len(series)
-    while i < n:
-        d = slot_days[i]
-        j = i
-        while j < n and slot_days[j] == d:
-            j += 1
-        count = j - i
-        midnight_aligned = series.timestamp_at(i).time() == datetime.min.time()
-        if count == rpd and midnight_aligned:
-            days.append(DaySample(day=d, readings=series.values[i:j].copy()))
-        elif not days and j < n:
-            dropped_leading += count
-        elif j == n:
-            dropped_trailing += count
-        else:
-            dropped_anomalous += 1
-        i = j
-
-    if not days:
+    rpd, n, start = readings_per_day(series.resolution), len(series), series.start_time
+    since_midnight = start - start.replace(hour=0, minute=0, second=0, microsecond=0)
+    slots_since_midnight, off_grid = divmod(since_midnight, series.resolution)
+    first = (-slots_since_midnight) % rpd
+    n_days = 0 if off_grid else max(n - first, 0) // rpd
+    if not n_days:
         raise NoCompleteDay(f"series spans no complete day ({n} slots at {series.resolution})")
-    return DaySegmentation(days=tuple(days),
-                           dropped_leading_slots=dropped_leading,
-                           dropped_trailing_slots=dropped_trailing,
-                           dropped_anomalous_days=dropped_anomalous)
+    first_day = series.timestamp_at(first).date()
+    days = tuple(DaySample(day=first_day + timedelta(days=k),
+                           readings=series.values[first + k * rpd : first + (k + 1) * rpd].copy())
+                 for k in range(n_days))
+    return DaySegmentation(days=days, dropped_leading_slots=first,
+                           dropped_trailing_slots=n - first - n_days * rpd,
+                           dropped_anomalous_days=0)
 
 
 # --- chronological split ----------------------------------------------------

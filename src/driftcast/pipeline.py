@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .density import Grid
 from .drift import DriftDecision, advance, decide, init_drift_state
 from .errors import ConfigError, MismatchedRuns, NonFiniteInput, ZeroActual
 from .evaluation import (
@@ -120,6 +121,10 @@ class RunConfig:
             SearchSpace(self.learning_rates, self.dropout_rates, self.n_units_values).all_points()
         except ValueError as exc:
             raise ConfigError(f"bad search space: {exc}") from None
+        try:  # the detector grid's own rule on its point count
+            Grid(0.0, 1.0, self.grid_points)
+        except ValueError as exc:
+            raise ConfigError(f"bad grid_points: {exc}") from None
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "active":
@@ -129,7 +134,7 @@ class RunConfig:
                 raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         elif self.tau is not None:
             raise ConfigError(f"tau only applies to active mode, not {self.mode!r}")
-        for name in ("hpo_initial_budget", "hpo_adapt_budget", "hpo_fit_epochs",
+        for name in ("input_len", "hpo_initial_budget", "hpo_adapt_budget", "hpo_fit_epochs",
                      "epochs_initial", "epochs_incremental", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -139,6 +144,8 @@ class RunConfig:
             raise ConfigError("load_bandwidth must be > 0")
         if self.price_rate <= 0:
             raise ConfigError("price_rate must be > 0")
+        if self.timing_coefficient < 0:
+            raise ConfigError("timing_coefficient must be >= 0")
 
     def to_dict(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value
@@ -169,7 +176,6 @@ def _derived_seed(seed: int, *parts: int) -> int:
 
 @dataclass
 class PreparedRun:
-    series: LoadSeries
     digest: str
     train_days: list[DaySample]
     validation_days: list[DaySample]
@@ -210,7 +216,7 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
     train_windows = build_windows(norm.normalize(train), config.input_len, config.horizon)
     val_windows = build_windows(norm.normalize(pretest[train.size:]), config.input_len,
                                 config.horizon)
-    return PreparedRun(series=filled, digest=series_digest(filled.values),
+    return PreparedRun(digest=series_digest(filled.values),
                        train_days=train_days, validation_days=val_days,
                        test_days=test_days, norm=norm,
                        train_windows=train_windows, val_windows=val_windows)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from driftcast.density import DensityEstimate, Grid, estimate_kde, shared_grid
+from driftcast.divergence import _require_same_grid, shannon_entropy
 from driftcast.ingest import DailyProfile, DriftEvent, SplitSpec, generate_synthetic
 from driftcast.pipeline import RunConfig, run_active, run_baseline, run_passive
 
@@ -23,6 +24,15 @@ def random_kde_pair(rng: np.random.Generator, n_points: int = 512):
     bw = rng.uniform(0.3, 1.5)
     grid = shared_grid(a, b, bw, n_points)
     return estimate_kde(a, bw, grid), estimate_kde(b, bw, grid)
+
+
+def jsd_entropy(p: DensityEstimate, q: DensityEstimate) -> float:
+    """Entropy form H(m) - (H(p) + H(q)) / 2 in bits: the cross-check oracle
+    for the mixture form that `jsd` computes."""
+    _require_same_grid(p, q)
+    m = DensityEstimate(grid=p.grid, density=0.5 * (p.density + q.density),
+                        bandwidth=p.bandwidth, n_samples=p.n_samples + q.n_samples)
+    return shannon_entropy(m) - 0.5 * (shannon_entropy(p) + shannon_entropy(q))
 
 
 # --- synthetic drift scenario shared by pipeline and acceptance tests ---------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from driftcast.density import Grid, estimate_kde, shared_grid
-from driftcast.divergence import jsd, jsd_entropy, kl_divergence, sqrt_jsd
+from driftcast.divergence import jsd, kl_divergence, sqrt_jsd
 from driftcast.drift import advance, decide, init_drift_state
 from driftcast.evaluation import mape, rmse
 from driftcast.forecaster import LstmWeights, loss_and_gradients
@@ -25,6 +25,7 @@ from driftcast.pipeline import run_active, run_baseline, run_passive
 from conftest import (
     SWEEP_SEEDS,
     exact_gaussian,
+    jsd_entropy,
     scenario_config,
     scenario_series,
 )

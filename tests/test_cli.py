@@ -170,6 +170,9 @@ class TestRun:
         {"batch_size": True},
         {"load_bandwidth": "wide"},
         {"learning_rates": ["0.01"]},
+        {"grid_points": 8},
+        {"input_len": 0},
+        {"timing_coefficient": -1},
     ])
     def test_bad_search_space_or_numeric_value_fails_before_search(
             self, workspace, monkeypatch, override):

@@ -7,14 +7,13 @@ import pytest
 from driftcast.density import DensityEstimate, Grid, estimate_kde
 from driftcast.divergence import (
     jsd,
-    jsd_entropy,
     kl_divergence,
     shannon_entropy,
     sqrt_jsd,
 )
 from driftcast.errors import GridMismatch, UnnormalizedDensity
 
-from conftest import exact_gaussian, random_kde_pair
+from conftest import exact_gaussian, jsd_entropy, random_kde_pair
 
 
 def _uniform_on(grid: Grid, lo: float, hi: float) -> DensityEstimate:

@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from driftcast.drift import DriftDecision
 from driftcast.errors import (
     LengthMismatch,
     NegativeDuration,
@@ -168,19 +169,46 @@ class TestReport:
                        for i in range(3))
         stats = summarize_daily(errors)
         ledger = record_cost(CostLedger(price_rate=0.027), DAY, "initial_training", 90.0)
+        ledger = record_cost(ledger, DAY + timedelta(days=1), "hpo", 3.0)
+        ledger = record_cost(ledger, DAY + timedelta(days=1), "adaptation", 6.0)
         return EvaluationReport(
-            mode="baseline", tau=None, series_sha256="abc123", seed=7,
+            mode="active", tau=0.15, series_sha256="abc123", seed=7,
             split={"train_days": 10, "validation_days": 2, "test_days": 3},
-            daily_errors=errors, drift_decisions=(), adaptation_count=0,
-            ledger=ledger,
+            daily_errors=errors,
+            drift_decisions=tuple(DriftDecision(e.day_index, divergence=0.2 * i,
+                                                p_value=0.5 - 0.2 * i, is_drift=i == 2,
+                                                tau=0.15)
+                                  for i, e in enumerate(errors)),
+            adaptation_count=1, ledger=ledger,
             hpo_events=(HpoEventRecord(event=0, day_index=None, learning_rate=0.01,
-                                       dropout_rate=0.0, n_units=32, loss=4.2),),
+                                       dropout_rate=0.0, n_units=32, loss=4.2),
+                        HpoEventRecord(event=1, day_index=DAY + timedelta(days=1),
+                                       learning_rate=0.001, dropout_rate=0.2,
+                                       n_units=32, loss=3.9)),
             **stats)
 
     def test_json_round_trip(self):
         report = self._report()
         again = EvaluationReport.from_json(report.to_json())
         assert again == report
+
+    def test_schema_2_key_sets(self):
+        # A field added to a record must come with a schema bump.
+        data = self._report().to_dict()
+        assert set(data) == {
+            "schema_version", "mode", "tau", "series_sha256", "seed", "split",
+            "daily_errors", "mean_mape", "std_mape", "mean_rmse", "std_rmse",
+            "drift_decisions", "adaptation_count", "price_rate", "cost_entries",
+            "total_cost", "hpo_events"}
+        rows = {
+            "daily_errors": {"day_index", "mape", "rmse"},
+            "drift_decisions": {"day_index", "divergence", "p_value", "is_drift", "tau"},
+            "cost_entries": {"day_index", "kind", "duration_seconds"},
+            "hpo_events": {"event", "day_index", "learning_rate", "dropout_rate", "n_units",
+                           "loss"},
+        }
+        for key, row_keys in rows.items():
+            assert data[key] and all(set(row) == row_keys for row in data[key])
 
     def test_version_1_report_rejected(self):
         data = self._report().to_dict()

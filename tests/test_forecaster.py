@@ -26,11 +26,9 @@ from driftcast.forecaster import (
     incremental_update,
     load_model,
     loss_and_gradients,
-    lstm_forward,
     new_model,
     predict_day,
     save_model,
-    seasonal_naive,
     train,
 )
 
@@ -55,9 +53,6 @@ class TestWindows:
         assert np.array_equal(first.input, np.arange(12.0))
         assert np.array_equal(first.target, np.arange(12.0, 18.0))
 
-    def test_stride(self):
-        assert len(build_windows(np.arange(30.0), stride=6)) == 3
-
 
 class TestForward:
     def test_zero_weights_give_zero_output(self):
@@ -66,8 +61,8 @@ class TestForward:
                              for name, arr in model.weights.as_dict().items()})
         model = ForecastModel(weights=zeros, hyperparameters=model.hyperparameters,
                               norm_stats=model.norm_stats, rng_seed=0)
-        out = lstm_forward(model, np.linspace(-1, 1, 12))
-        assert np.array_equal(out, np.zeros(6))
+        out = batch_forward(model.weights, np.linspace(-1, 1, 12)[None, :])
+        assert np.array_equal(out, np.zeros((1, 6)))
 
     def test_one_unit_single_step_matches_hand_computation(self):
         # Scalar cell, one unrolled step: every gate evaluated by hand.
@@ -102,26 +97,28 @@ class TestForward:
         h = o * math.tanh(c)
         expected = names["W_out"] * h + names["b_out"]
 
-        out = lstm_forward(model, [x])
-        assert out[0] == pytest.approx(expected, abs=1e-10)
+        out = batch_forward(model.weights, np.array([[x]]))
+        assert out[0, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_output_length_is_horizon(self):
         model = _model()
         rng = np.random.default_rng(0)
         for _ in range(5):
-            assert lstm_forward(model, rng.normal(size=12)).shape == (6,)
+            assert batch_forward(model.weights, rng.normal(size=(1, 12))).shape == (1, 6)
 
     def test_nonfinite_input_rejected(self):
         model = _model()
-        bad = np.zeros(12)
+        bad = np.ones(144)
         bad[4] = np.nan
         with pytest.raises(NonFiniteInput):
-            lstm_forward(model, bad)
+            predict_day(model, bad, np.ones(144))
+        with pytest.raises(NonFiniteInput):
+            predict_day(model, np.ones(144), bad)
 
     def test_inference_is_deterministic_with_dropout_configured(self):
         model = _model(dropout=0.5)
-        x = np.linspace(0, 1, 12)
-        assert np.array_equal(lstm_forward(model, x), lstm_forward(model, x))
+        x = np.linspace(0, 1, 12)[None, :]
+        assert np.array_equal(batch_forward(model.weights, x), batch_forward(model.weights, x))
 
 
 class TestGradients:
@@ -313,26 +310,6 @@ class TestPredictDay:
         model = _model()
         with pytest.raises(InsufficientContext):
             predict_day(model, np.ones(5), np.ones(144))
-
-
-class TestSeasonalNaive:
-    def test_periodic_stream_is_perfect(self):
-        from driftcast.evaluation import mape
-
-        day = np.linspace(1.0, 2.0, 144)
-        context = np.tile(day, 3)
-        forecasts = seasonal_naive(context, 144)
-        errors = [mape(day[h * 6:(h + 1) * 6], f) for h, f in enumerate(forecasts)]
-        assert max(errors) == 0.0
-
-    def test_constant_previous_day(self):
-        context = np.concatenate([np.ones(144), np.full(144, 2.0)])
-        forecasts = seasonal_naive(context, 144)
-        assert all(np.array_equal(f, np.full(6, 2.0)) for f in forecasts)
-
-    def test_insufficient_context_rejected(self):
-        with pytest.raises(InsufficientContext):
-            seasonal_naive(np.ones(100), 144)
 
 
 class TestNormalizationAndCheckpoint:

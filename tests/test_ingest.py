@@ -96,7 +96,7 @@ class TestParse:
                       "2024-01-01T00:40:00,3.0\n")
         series = parse_load_csv(path)
         assert len(series) == 5
-        assert series.n_missing == 1
+        assert np.isnan(series.values).sum() == 1
         assert np.isnan(series.values[3])
 
     def test_round_trip_through_writer(self, tmp_path):

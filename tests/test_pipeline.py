@@ -218,6 +218,17 @@ class TestFailFast:
         with pytest.raises(ConfigError, match="input_len"):
             prepare_run(config, _small_series())
 
+    @pytest.mark.parametrize("override,match", [
+        (dict(grid_points=8), "grid_points"),
+        (dict(input_len=0), "input_len"),
+        (dict(timing_coefficient=-1.0), "timing_coefficient"),
+    ])
+    def test_out_of_range_value_rejected_before_search(self, monkeypatch, override, match):
+        self._no_search(monkeypatch)
+        config = dataclasses.replace(_small_config("active", tau=0.5), **override)
+        with pytest.raises(ConfigError, match=match):
+            run(config, _small_series())
+
 
 class TestScoringContext:
     def test_days_are_scored_from_the_context_tail(self, monkeypatch):
@@ -310,15 +321,15 @@ class TestCosts:
             tuning = config.timing_coefficient * config.hpo_fit_epochs * windows * trials
             fitting = config.timing_coefficient * config.epochs_incremental * windows
             assert hpo.day_index == fit.day_index == day.day
-            assert hpo.duration == tuning
-            assert fit.duration == fitting
-            assert hpo.duration + fit.duration == tuning + fitting
+            assert hpo.duration_seconds == tuning
+            assert fit.duration_seconds == fitting
+            assert hpo.duration_seconds + fit.duration_seconds == tuning + fitting
 
     def test_deterministic_timing_is_reproducible(self):
         first = run_passive(_small_config("passive"), _small_series())
         second = run_passive(_small_config("passive"), _small_series())
-        assert [e.duration for e in first.ledger.entries] == \
-               [e.duration for e in second.ledger.entries]
+        assert [e.duration_seconds for e in first.ledger.entries] == \
+               [e.duration_seconds for e in second.ledger.entries]
 
 
 class TestCompare:
@@ -375,8 +386,9 @@ class TestStructuralRetune:
         tuned_units = {h.n_units for h in report.hpo_events if h.event > 0}
         assert tuned_units <= {4, 6}
         # the full search's trials are its fits: all of it is fitting time
-        assert all(e.duration == 0.0 for e in report.ledger.entries if e.kind == "hpo")
-        assert all(e.duration > 0.0 for e in report.ledger.entries if e.kind == "adaptation")
+        assert all(e.duration_seconds == 0.0 for e in report.ledger.entries if e.kind == "hpo")
+        assert all(e.duration_seconds > 0.0 for e in report.ledger.entries
+                   if e.kind == "adaptation")
 
 
 class TestStackedSearch:

@@ -6,6 +6,7 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
@@ -23,6 +24,7 @@ from driftcast.forecaster import (
 from driftcast.hpo import SearchSpace, optimize, seeding_points
 from driftcast.ingest import (
     DaySample,
+    DaySegmentation,
     LoadSeries,
     parse_load_csv,
     readings_per_day,
@@ -268,3 +270,65 @@ def test_segmentation_accounts_for_every_slot(resolution, offset_slots, n, seed)
            values[lead : n - trail].tobytes()
     assert [d.day for d in days] == [days[0].day + timedelta(days=k) for k in range(len(days))]
     assert series.timestamp_at(lead).time() == datetime.min.time()
+
+
+def _segment_days_per_slot(series: LoadSeries) -> DaySegmentation:
+    """Reference segmentation: group the slots by the calendar date of each
+    slot's own timestamp, keeping groups of a full day that start at midnight."""
+    rpd = readings_per_day(series.resolution)
+    slot_days = [series.timestamp_at(i).date() for i in range(len(series))]
+    days: list[DaySample] = []
+    dropped_leading = 0
+    dropped_trailing = 0
+    dropped_anomalous = 0
+
+    i = 0
+    n = len(series)
+    while i < n:
+        d = slot_days[i]
+        j = i
+        while j < n and slot_days[j] == d:
+            j += 1
+        count = j - i
+        midnight_aligned = series.timestamp_at(i).time() == datetime.min.time()
+        if count == rpd and midnight_aligned:
+            days.append(DaySample(day=d, readings=series.values[i:j].copy()))
+        elif not days and j < n:
+            dropped_leading += count
+        elif j == n:
+            dropped_trailing += count
+        else:
+            dropped_anomalous += 1
+        i = j
+
+    if not days:
+        raise NoCompleteDay(f"series spans no complete day ({n} slots at {series.resolution})")
+    return DaySegmentation(days=tuple(days),
+                           dropped_leading_slots=dropped_leading,
+                           dropped_trailing_slots=dropped_trailing,
+                           dropped_anomalous_days=dropped_anomalous)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(resolutions, zones, st.dates(min_value=date(2000, 1, 1), max_value=date(2030, 1, 1)),
+       st.integers(min_value=0, max_value=86_399), st.booleans(),
+       st.integers(min_value=1, max_value=500))
+def test_segmentation_matches_the_per_slot_reference(resolution, zone, day, seconds,
+                                                     on_grid, n):
+    # Any second of the day; half the cases are moved down onto the grid.
+    if on_grid:
+        seconds -= seconds % int(resolution.total_seconds())
+    start = datetime.combine(day, datetime.min.time(), zone) + timedelta(seconds=seconds)
+    series = LoadSeries(start_time=start, resolution=resolution,
+                        values=np.arange(n, dtype=float))
+    try:
+        expected = _segment_days_per_slot(series)
+    except NoCompleteDay:
+        with pytest.raises(NoCompleteDay):
+            segment_days(series)
+        return
+    segmentation = segment_days(series)
+    assert [d.day for d in segmentation] == [d.day for d in expected]
+    assert [d.readings.tobytes() for d in segmentation] == \
+           [d.readings.tobytes() for d in expected]
+    assert segmentation.report() == expected.report()

@@ -6,7 +6,8 @@
 `capture` writes one `<case>.json` per run into DIR: the report's `to_json`
 under deterministic timing, so two trees that compute the same bits write the
 same bytes. `compare` reruns the matrix and exits 1 naming every case whose
-report differs from, or is missing in, DIR.
+report differs from, or is missing in, DIR, or does not read back to the
+same bytes through `EvaluationReport.from_json`.
 
 The matrix: 26-day and 120-day synthetic streams (seeds 0-1) in baseline,
 passive and active mode at tau 0.15, 0 and 1; passive runs that tune three
@@ -30,6 +31,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from driftcast.evaluation import EvaluationReport
 from driftcast.ingest import DailyProfile, DriftEvent, generate_synthetic
 from driftcast.pipeline import RunConfig, run
 
@@ -108,6 +110,8 @@ def main(argv=None) -> int:
             differing.append(f"{name}: no golden report")
         elif path.read_text(encoding="utf-8") != text:
             differing.append(f"{name}: report differs")
+        elif EvaluationReport.from_json(text).to_json() != text:
+            differing.append(f"{name}: report does not round-trip")
         print(f"{name}: {'written' if args.action == 'capture' else 'checked'}",
               flush=True)
     for line in differing:
