@@ -31,6 +31,7 @@ from .ingest import (
     DriftEvent,
     generate_synthetic,
     parse_load_csv,
+    readings_per_day,
     resample_and_fill,
     segment_days,
     write_load_csv,
@@ -112,6 +113,7 @@ def _cmd_synth(args) -> int:
                   for e in spec.get("events", [])]
         noise_sd = float(spec.get("noise_sd", 0.5))
         resolution = timedelta(minutes=float(spec.get("resolution_minutes", 10)))
+        readings_per_day(resolution)  # a resolution must divide a day
         start = datetime.fromisoformat(spec.get("start_time", "2024-01-01T00:00:00"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile config: {exc}") from None

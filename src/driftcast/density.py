@@ -82,11 +82,13 @@ def kernel_sum(values: np.ndarray, bandwidth: float, points: np.ndarray,
     values are split across calls or blocks.
     """
     acc = np.zeros(points.size) if start is None else start
+    z_buf, rows_buf = np.empty((2, min(values.size, _KERNEL_BLOCK), points.size))
     for first in range(0, values.size, _KERNEL_BLOCK):
         block = values[first : first + _KERNEL_BLOCK]
-        z = (points[None, :] - block[:, None]) / bandwidth
-        rows = np.exp(-0.5 * z * z)
-        rows[0] += acc
+        z, rows = z_buf[: block.size], rows_buf[: block.size]
+        np.divide(np.subtract(points, block[:, None], out=z), bandwidth, out=z)
+        np.exp(np.multiply(np.multiply(z, -0.5, out=rows), z, out=rows), out=rows)
+        rows[0] += acc  # never into `start`: a caller's running sum
         acc = rows.sum(axis=0)
     return acc
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,19 +95,60 @@ class SplitSpec:
 
 
 def readings_per_day(resolution: timedelta) -> int:
-    slots, rest = divmod(timedelta(days=1), resolution)
-    if rest:
+    if resolution <= timedelta(0) or timedelta(days=1) % resolution:
         raise ValueError(f"resolution {resolution} does not divide a day evenly")
-    return slots
+    return timedelta(days=1) // resolution
 
 
 # --- CSV parsing ------------------------------------------------------------
+
+_MICROSECOND = timedelta(microseconds=1)
+
 
 def _parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     return datetime.fromisoformat(text)
+
+
+def _read_rows(rows: list[list[str]], ts_idx: int, val_idx: int, n_columns: int):
+    """Each reading's file line, timestamp and value, read a column at a time. A file
+    the columns reject (a bad row, or a blank row with cells) is scanned row by row."""
+    lines = [line_number for line_number, row in enumerate(rows, start=2) if row]
+    try:
+        nonempty = [row for row in rows if row]
+        stamps = list(map(_parse_timestamp, map(itemgetter(ts_idx), nonempty)))
+        values = np.array(list(map(itemgetter(val_idx), nonempty)), dtype=float)
+        if (len({ts.tzinfo is None for ts in stamps}) < 2 and np.isfinite(values).all()
+                and (values >= 0).all()):
+            return lines, stamps, values
+    except (IndexError, ValueError):
+        pass
+    lines, stamps, values = [], [], []
+    for line_number, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= max(ts_idx, val_idx):
+            raise UnparseableRow(line_number, f"expected {n_columns} columns, got {len(row)}")
+        try:
+            ts = _parse_timestamp(row[ts_idx])
+        except ValueError as exc:
+            raise UnparseableRow(line_number, f"bad timestamp {row[ts_idx]!r}: {exc}") from None
+        try:
+            value = float(row[val_idx])
+        except ValueError:
+            raise UnparseableRow(line_number, f"bad value {row[val_idx]!r}") from None
+        if not math.isfinite(value):
+            raise UnparseableRow(line_number, f"non-finite value {row[val_idx]!r}")
+        if value < 0:
+            raise NegativeReading(f"line {line_number}: negative reading {value}")
+        if stamps and (ts.tzinfo is None) != (stamps[0].tzinfo is None):
+            raise UnparseableRow(line_number, "mixed aware and naive timestamps")
+        lines.append(line_number)
+        stamps.append(ts)
+        values.append(value)
+    return lines, stamps, values
 
 
 def parse_load_csv(path,
@@ -119,7 +160,6 @@ def parse_load_csv(path,
     readings; slots with no reading are left as NaN for resample_and_fill.
     """
     ts_col, val_col = schema
-    rows: list[tuple[datetime, float]] = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -133,66 +173,62 @@ def parse_load_csv(path,
         except ValueError:
             raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
                                     f"got {header}") from None
-        for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(ts_idx, val_idx):
-                raise UnparseableRow(line_number, f"expected {len(header)} columns, got {len(row)}")
-            try:
-                ts = _parse_timestamp(row[ts_idx])
-            except ValueError as exc:
-                raise UnparseableRow(line_number, f"bad timestamp {row[ts_idx]!r}: {exc}") from None
-            try:
-                value = float(row[val_idx])
-            except ValueError:
-                raise UnparseableRow(line_number, f"bad value {row[val_idx]!r}") from None
-            if not math.isfinite(value):
-                raise UnparseableRow(line_number, f"non-finite value {row[val_idx]!r}")
-            if value < 0:
-                raise NegativeReading(f"line {line_number}: negative reading {value}")
-            if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):
-                raise UnparseableRow(line_number, "mixed aware and naive timestamps")
-            rows.append((ts, value))
-
-    if not rows:
+        rows = list(reader)
+    lines, stamps, values = _read_rows(rows, ts_idx, val_idx, len(header))
+    if not stamps:
         raise EmptySeries(f"{path}: no data rows")
 
-    rows.sort(key=lambda item: item[0])
-    for (t_prev, _), (t_next, _) in zip(rows, rows[1:]):
-        if t_next <= t_prev:
-            raise NonMonotoneTimestamps(f"timestamp {t_next.isoformat()} repeats")
+    # Microseconds from the earliest reading, stably sorted as list.sort; aware in UTC.
+    micros = np.array([(ts - stamps[0]) // _MICROSECOND for ts in stamps], dtype=np.int64)
+    order = np.argsort(micros, kind="stable")
+    micros = micros[order] - micros[order[0]]
+    values = np.asarray(values, dtype=float)[order]
+    repeats = np.flatnonzero(np.diff(micros) <= 0)
+    if repeats.size:
+        repeated = stamps[order[repeats[0] + 1]]
+        raise NonMonotoneTimestamps(f"timestamp {repeated.isoformat()} repeats")
 
-    start = rows[0][0]
-    if len(rows) == 1:
-        return LoadSeries(start_time=start, resolution=DEFAULT_RESOLUTION,
-                          values=np.array([rows[0][1]]))
+    start = stamps[order[0]]
+    if len(stamps) == 1:
+        return LoadSeries(start_time=start, resolution=DEFAULT_RESOLUTION, values=values)
 
-    counts = Counter(b[0] - a[0] for a, b in zip(rows, rows[1:]))
-    resolution = max(counts.items(), key=lambda kv: (kv[1], -kv[0].total_seconds()))[0]
+    # The most frequent gap; np.unique sorts, so a tie goes to the smallest.
+    gaps, counts = np.unique(np.diff(micros), return_counts=True)
+    resolution = timedelta(microseconds=int(gaps[np.argmax(counts)]))
 
-    step = resolution.total_seconds()
-    n_slots = int(round((rows[-1][0] - start).total_seconds() / step)) + 1
-    values = np.full(n_slots, np.nan)
-    for line_offset, (ts, value) in enumerate(rows):
-        exact = (ts - start).total_seconds() / step
-        slot = int(round(exact))
-        if abs(exact - slot) > 1e-6 or slot >= n_slots:
-            raise UnparseableRow(line_offset + 2,
-                                 f"timestamp {ts.isoformat()} is not aligned with the "
-                                 f"inferred {resolution} resolution")
-        values[slot] = value
-    return LoadSeries(start_time=start, resolution=resolution, values=values)
+    # total_seconds() / step, exactly while the span is under 2**53 us (285 years).
+    exact = micros / 1e6 / resolution.total_seconds()
+    slots = np.rint(exact)
+    misaligned = np.flatnonzero(np.abs(exact - slots) > 1e-6)
+    if misaligned.size:
+        row = order[misaligned[0]]
+        raise UnparseableRow(lines[row],
+                             f"timestamp {stamps[row].isoformat()} is not aligned with the "
+                             f"inferred {resolution} resolution")
+    filled = np.full(int(slots[-1]) + 1, np.nan)
+    filled[slots.astype(np.intp)] = values
+    return LoadSeries(start_time=start, resolution=resolution, values=filled)
 
 
 def write_load_csv(series: LoadSeries, path) -> None:
-    """Write the series back out in the canonical two-column schema."""
+    """Write the series back out in the canonical two-column schema: a row
+    per present slot, as csv.writer writes [timestamp_at(i).isoformat(), repr(value)]."""
+    present = np.flatnonzero(~np.isnan(series.values))
+    start, resolution = series.start_time, series.resolution
+    fixed_offset = start.tzinfo is None or isinstance(start.tzinfo, timezone)
+    if fixed_offset and not resolution.microseconds:
+        # Whole-second steps: every stamp ends in start's fraction and UTC offset.
+        suffix = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
+        first = np.datetime64(start.replace(tzinfo=None), "us")
+        stamps = first + present * np.timedelta64(resolution, "us")
+        stamps = np.datetime_as_string(stamps, unit="s").tolist()
+        series.timestamp_at(int(present.max(initial=0)))  # OverflowError past year 9999
+    else:
+        suffix = ""
+        stamps = [series.timestamp_at(i).isoformat() for i in present.tolist()]
+    rows = map((suffix + ",").join, zip(stamps, map(repr, series.values[present].tolist())))
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([CSV_TIMESTAMP_COLUMN, CSV_VALUE_COLUMN])
-        for i, value in enumerate(series.values):
-            if np.isnan(value):
-                continue
-            writer.writerow([series.timestamp_at(i).isoformat(), repr(float(value))])
+        handle.write("\r\n".join([f"{CSV_TIMESTAMP_COLUMN},{CSV_VALUE_COLUMN}", *rows]) + "\r\n")
 
 
 # --- gap filling ------------------------------------------------------------

@@ -1,12 +1,26 @@
-"""Shared fixtures and scenario builders for the test suite."""
+"""Shared fixtures, scenario builders and reference implementations for the
+test suite."""
+import csv
 import math
+from collections import Counter
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 from driftcast.density import DensityEstimate, Grid, estimate_kde, shared_grid
 from driftcast.divergence import _require_same_grid, shannon_entropy
-from driftcast.ingest import DailyProfile, DriftEvent, SplitSpec, generate_synthetic
+from driftcast.errors import EmptySeries, NegativeReading, NonMonotoneTimestamps, UnparseableRow
+from driftcast.ingest import (
+    CSV_TIMESTAMP_COLUMN,
+    CSV_VALUE_COLUMN,
+    DEFAULT_RESOLUTION,
+    DailyProfile,
+    DriftEvent,
+    LoadSeries,
+    SplitSpec,
+    generate_synthetic,
+)
 from driftcast.pipeline import RunConfig, run_active, run_baseline, run_passive
 
 
@@ -33,6 +47,96 @@ def jsd_entropy(p: DensityEstimate, q: DensityEstimate) -> float:
     m = DensityEstimate(grid=p.grid, density=0.5 * (p.density + q.density),
                         bandwidth=p.bandwidth, n_samples=p.n_samples + q.n_samples)
     return shannon_entropy(m) - 0.5 * (shannon_entropy(p) + shannon_entropy(q))
+
+
+# --- per-row CSV reader and writer: the oracles for the column-wise ones ------
+
+def reference_timestamp(raw: str) -> datetime:
+    text = raw.strip()
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    return datetime.fromisoformat(text)
+
+
+def reference_parse_load_csv(path, schema=(CSV_TIMESTAMP_COLUMN, CSV_VALUE_COLUMN)):
+    """Read a CSV one reading at a time, sorting Python datetimes. Its one
+    known fault: a misaligned row is reported at its sorted position + 2,
+    not at its line in the file."""
+    ts_col, val_col = schema
+    rows = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptySeries(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        try:
+            ts_idx = header.index(ts_col)
+            val_idx = header.index(val_col)
+        except ValueError:
+            raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
+                                    f"got {header}") from None
+        for line_number, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(ts_idx, val_idx):
+                raise UnparseableRow(line_number, f"expected {len(header)} columns, got {len(row)}")
+            try:
+                ts = reference_timestamp(row[ts_idx])
+            except ValueError as exc:
+                raise UnparseableRow(line_number, f"bad timestamp {row[ts_idx]!r}: {exc}") from None
+            try:
+                value = float(row[val_idx])
+            except ValueError:
+                raise UnparseableRow(line_number, f"bad value {row[val_idx]!r}") from None
+            if not math.isfinite(value):
+                raise UnparseableRow(line_number, f"non-finite value {row[val_idx]!r}")
+            if value < 0:
+                raise NegativeReading(f"line {line_number}: negative reading {value}")
+            if rows and (ts.tzinfo is None) != (rows[0][0].tzinfo is None):
+                raise UnparseableRow(line_number, "mixed aware and naive timestamps")
+            rows.append((ts, value))
+
+    if not rows:
+        raise EmptySeries(f"{path}: no data rows")
+
+    rows.sort(key=lambda item: item[0])
+    for (t_prev, _), (t_next, _) in zip(rows, rows[1:]):
+        if t_next <= t_prev:
+            raise NonMonotoneTimestamps(f"timestamp {t_next.isoformat()} repeats")
+
+    start = rows[0][0]
+    if len(rows) == 1:
+        return LoadSeries(start_time=start, resolution=DEFAULT_RESOLUTION,
+                          values=np.array([rows[0][1]]))
+
+    counts = Counter(b[0] - a[0] for a, b in zip(rows, rows[1:]))
+    resolution = max(counts.items(), key=lambda kv: (kv[1], -kv[0].total_seconds()))[0]
+
+    step = resolution.total_seconds()
+    n_slots = int(round((rows[-1][0] - start).total_seconds() / step)) + 1
+    values = np.full(n_slots, np.nan)
+    for line_offset, (ts, value) in enumerate(rows):
+        exact = (ts - start).total_seconds() / step
+        slot = int(round(exact))
+        if abs(exact - slot) > 1e-6 or slot >= n_slots:
+            raise UnparseableRow(line_offset + 2,
+                                 f"timestamp {ts.isoformat()} is not aligned with the "
+                                 f"inferred {resolution} resolution")
+        values[slot] = value
+    return LoadSeries(start_time=start, resolution=resolution, values=values)
+
+
+def reference_write_load_csv(series: LoadSeries, path) -> None:
+    """Write one csv.writer row per present slot: isoformat() and repr()."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([CSV_TIMESTAMP_COLUMN, CSV_VALUE_COLUMN])
+        for i, value in enumerate(series.values):
+            if np.isnan(value):
+                continue
+            writer.writerow([series.timestamp_at(i).isoformat(), repr(float(value))])
 
 
 # --- synthetic drift scenario shared by pipeline and acceptance tests ---------

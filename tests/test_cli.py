@@ -79,6 +79,16 @@ class TestSynthAndIngest:
                      "--days", "10", "--out", str(workspace / "s.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("minutes", [7, 0, -10])
+    def test_synth_resolution_not_dividing_a_day_is_config_error(self, workspace, minutes):
+        bad_profile = workspace / "bad.json"
+        bad_profile.write_text(json.dumps({**PROFILE, "resolution_minutes": minutes}))
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(bad_profile), "--seed", "1",
+                     "--days", "10", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestRun:
     def test_baseline_run_writes_valid_report(self, workspace):

@@ -1,5 +1,6 @@
-"""KDE unit behavior: kernel values, mass, grids, bandwidth rule."""
+"""KDE unit behavior: kernel values, mass, grids, bandwidth rule, kernel sums."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from driftcast.density import (
     Grid,
     estimate_kde,
+    kernel_sum,
     shared_grid,
     silverman_bandwidth,
 )
@@ -136,3 +138,32 @@ class TestSilverman:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             silverman_bandwidth([])
+
+
+def kernel_sum_per_block(values, bandwidth, points, start=None):
+    """Reference kernel sum: fresh temporaries for every 256-row block."""
+    acc = np.zeros(points.size) if start is None else start
+    for first in range(0, values.size, 256):
+        block = values[first : first + 256]
+        z = (points[None, :] - block[:, None]) / bandwidth
+        rows = np.exp(-0.5 * z * z)
+        rows[0] += acc
+        acc = rows.sum(axis=0)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 1000, 4096])
+@pytest.mark.parametrize("bandwidth", [1.0, 0.3, 1e-3])
+def test_in_place_kernel_sum_equals_the_per_block_formula_bitwise(n, bandwidth):
+    rng = np.random.default_rng(n)
+    values = rng.normal(10.0, 3.0, n)
+    points = np.linspace(values.min() - 5.0, values.max() + 5.0, 512)
+    start = rng.uniform(0.0, 50.0, 512)
+    kept = start.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fresh = kernel_sum(values, bandwidth, points)
+        resumed = kernel_sum(values, bandwidth, points, start)
+    assert fresh.tobytes() == kernel_sum_per_block(values, bandwidth, points).tobytes()
+    assert resumed.tobytes() == kernel_sum_per_block(values, bandwidth, points, kept).tobytes()
+    assert start.tobytes() == kept.tobytes()  # a caller's running sum is never written

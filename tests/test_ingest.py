@@ -99,6 +99,30 @@ class TestParse:
         assert np.isnan(series.values).sum() == 1
         assert np.isnan(series.values[3])
 
+    def test_misaligned_row_reports_its_file_line(self, tmp_path):
+        # Unsorted rows and blank lines: 00:43 is the fifth reading in time
+        # order but sits on line 8 of the file.
+        path = _write(tmp_path, "h.csv",
+                      "timestamp,consumption_kwh\n"
+                      "2024-01-01T00:20:00,3.0\n"
+                      "\n"
+                      "\n"
+                      "2024-01-01T00:00:00,1.0\n"
+                      "2024-01-01T00:10:00,2.0\n"
+                      "2024-01-01T00:30:00,4.0\n"
+                      "2024-01-01T00:43:00,5.0\n"
+                      "2024-01-01T00:50:00,6.0\n")
+        with pytest.raises(UnparseableRow) as err:
+            parse_load_csv(path)
+        assert err.value.line_number == 8
+        assert str(err.value).startswith("line 8: timestamp 2024-01-01T00:43:00 is not aligned")
+
+    def test_writer_past_year_9999_raises_overflow(self, tmp_path):
+        series = LoadSeries(start_time=datetime(9999, 12, 31, 23, 50), resolution=TEN_MIN,
+                            values=np.array([1.0, 2.0]))
+        with pytest.raises(OverflowError):
+            write_load_csv(series, tmp_path / "late.csv")
+
     def test_round_trip_through_writer(self, tmp_path):
         series = LoadSeries(start_time=datetime(2024, 3, 1), resolution=TEN_MIN,
                             values=np.array([0.5, 1.25, 2.0]))

@@ -1,13 +1,18 @@
 """Property tests: divergence bounds, p-value order, nested taus, exact kernel
-sums, resumed and stacked training runs, the search's score-free seeding, and
-the ingest round trip, gap filling and day segmentation."""
+sums, resumed and stacked training runs, the search's score-free seeding, the
+ingest round trip, gap filling and day segmentation, and the CSV reader and
+writer against their per-row references."""
+import csv
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+from conftest import reference_parse_load_csv, reference_timestamp, reference_write_load_csv
 
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
@@ -332,3 +337,157 @@ def test_segmentation_matches_the_per_slot_reference(resolution, zone, day, seco
     assert [d.readings.tobytes() for d in segmentation] == \
            [d.readings.tobytes() for d in expected]
     assert segmentation.report() == expected.report()
+
+
+# --- column-wise CSV reader and writer against the per-row references ---------
+
+csv_resolutions = st.sampled_from([timedelta(seconds=1), timedelta(seconds=10),
+                                   timedelta(minutes=10), timedelta(hours=1)])
+fixed_zones = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5, minutes=-30))])
+# A zone whose offset changes per row comes only through the Python API.
+write_zones = st.one_of(fixed_zones, st.just(ZoneInfo("Europe/Berlin")))
+
+
+@st.composite
+def written_series(draw):
+    """A series with random NaN gaps; half the starts keep a fraction of a second,
+    and a quarter-second resolution takes the writer's per-row path."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    values = draw(st.lists(st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                                     st.just(np.nan)), min_size=n, max_size=n))
+    start = draw(st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+                              timezones=write_zones))
+    if draw(st.booleans()):
+        start = start.replace(microsecond=0)
+    resolution = draw(st.one_of(csv_resolutions, st.just(timedelta(milliseconds=250))))
+    return LoadSeries(start_time=start, resolution=resolution, values=values)
+
+
+@PROPERTY
+@given(written_series())
+def test_writer_bytes_equal_the_per_row_writer(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_load_csv(series, Path(tmp) / "new.csv")
+        reference_write_load_csv(series, Path(tmp) / "old.csv")
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()
+
+
+def _assert_parses_like_the_reference(path):
+    """Same series, or the same exception type and message. A misaligned row is
+    the exception: the reference names its sorted position, the parser its line."""
+    try:
+        expected = reference_parse_load_csv(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_load_csv(path)
+        message, wanted = str(raised.value), str(exc)
+        if "is not aligned" in wanted:
+            line = raised.value.line_number
+            assert message.split(":", 1)[1] == wanted.split(":", 1)[1]
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            header = [cell.strip() for cell in rows[0]]
+            stamp = reference_timestamp(rows[line - 1][header.index("timestamp")])
+            assert f"timestamp {stamp.isoformat()} is not aligned" in message
+        else:
+            assert message == wanted
+        return
+    parsed = parse_load_csv(path)
+    assert parsed.start_time == expected.start_time
+    assert parsed.start_time.utcoffset() == expected.start_time.utcoffset()
+    assert parsed.resolution == expected.resolution
+    assert parsed.values.tobytes() == expected.values.tobytes()
+
+
+@PROPERTY
+@given(written_series())
+def test_parsing_the_writer_output_equals_the_per_row_parser(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "load.csv"
+        reference_write_load_csv(series, path)
+        _assert_parses_like_the_reference(path)
+
+
+BLANK_ROWS = ([], ["   "], ["", ""], [" ", "\t"])
+
+
+def _malformed_cells(draw, stamp, aware):
+    """(timestamp, value) cells that break one of the parser's checks."""
+    kind = draw(st.sampled_from(["bad_stamp", "bad_value", "non_finite", "negative", "mixed",
+                                 "repeat", "misaligned", "text"]))
+    if kind == "bad_stamp":
+        return "2024-13-01T00:00:00", "1.0"
+    if kind == "bad_value":
+        return stamp.isoformat(), "one"
+    if kind == "non_finite":
+        return stamp.isoformat(), draw(st.sampled_from(["inf", "nan", "-inf", "1e999"]))
+    if kind == "negative":
+        return stamp.isoformat(), "-1.5"
+    if kind == "mixed":
+        other = stamp.replace(tzinfo=None if aware else timezone(timedelta(hours=1)))
+        return other.isoformat(), "1.0"
+    if kind == "repeat":  # the same instant, at another offset in an aware file
+        other = stamp.astimezone(timezone(timedelta(hours=1))) if aware else stamp
+        return draw(st.sampled_from([stamp, other])).isoformat(), "2.0"
+    if kind == "misaligned":
+        return (stamp + timedelta(milliseconds=draw(st.integers(1, 999)))).isoformat(), "1.0"
+    text = draw(st.text(max_size=12))
+    return draw(st.sampled_from([(text, "1.0"), (stamp.isoformat(), text)]))
+
+
+@st.composite
+def csv_files(draw, max_malformed=0):
+    """A hand-built CSV: unsorted rows with gaps, `Z` and padded cells, values with
+    `_` separators, blank rows, optional extra columns and malformed rows."""
+    zone, resolution = draw(fixed_zones), draw(csv_resolutions)
+    start = draw(st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2030, 1, 1)))
+    start = start.replace(microsecond=0, tzinfo=zone)
+    extra = draw(st.booleans())
+    header = ["site", " timestamp ", "consumption_kwh", "note"] if extra else \
+             ["timestamp", "consumption_kwh"]
+    stamps = [start + k * resolution for k in range(draw(st.integers(1, 30)))
+              if k == 0 or draw(st.integers(0, 3))]
+    rows = []
+    for stamp in stamps:
+        value = draw(readings)
+        stamp_text, value_text = stamp.isoformat(), repr(value)
+        if zone is timezone.utc and draw(st.booleans()):
+            stamp_text = stamp_text.replace("+00:00", "Z")
+        if value.is_integer() and draw(st.booleans()):
+            value_text = f"{int(value):_}"
+        if draw(st.booleans()):
+            stamp_text, value_text = f" {stamp_text} ", f"\t{value_text} "
+        rows.append((stamp_text, value_text))
+    n_malformed = draw(st.integers(min(1, max_malformed), max_malformed))
+    for _ in range(n_malformed):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    _malformed_cells(draw, draw(st.sampled_from(stamps)), zone is not None))
+    rows = [["A", *cells, "x"] if extra else list(cells) for cells in draw(st.permutations(rows))]
+    if n_malformed and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), rows[0][:1 + extra])  # too few cells
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    return [header, *rows]
+
+
+def _write_rows(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(csv_files())
+def test_hand_built_csv_parses_like_the_per_row_parser(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "load.csv"
+        _write_rows(rows, path)
+        _assert_parses_like_the_reference(path)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(csv_files(max_malformed=3))
+def test_malformed_rows_raise_like_the_per_row_parser(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "load.csv"
+        _write_rows(rows, path)
+        _assert_parses_like_the_reference(path)
