@@ -31,7 +31,6 @@ from .ingest import (
     DriftEvent,
     generate_synthetic,
     parse_load_csv,
-    readings_per_day,
     resample_and_fill,
     segment_days,
     write_load_csv,
@@ -113,13 +112,15 @@ def _cmd_synth(args) -> int:
                   for e in spec.get("events", [])]
         noise_sd = float(spec.get("noise_sd", 0.5))
         resolution = timedelta(minutes=float(spec.get("resolution_minutes", 10)))
-        readings_per_day(resolution)  # a resolution must divide a day
         start = datetime.fromisoformat(spec.get("start_time", "2024-01-01T00:00:00"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad profile config: {exc}") from None
-    series = generate_synthetic(profile, events, noise_sd=noise_sd, seed=args.seed,
-                                n_days=args.days, resolution=resolution,
-                                start_time=start)
+    try:
+        series = generate_synthetic(profile, events, noise_sd=noise_sd, seed=args.seed,
+                                    n_days=args.days, resolution=resolution,
+                                    start_time=start)
+    except ValueError as exc:  # --days < 1, or a resolution that does not divide a day
+        raise ConfigError(f"bad synth request: {exc}") from None
     write_load_csv(series, args.out)
     print(f"wrote {len(series)} readings over {args.days} days to {args.out}")
     return EXIT_OK

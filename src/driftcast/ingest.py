@@ -17,6 +17,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -113,22 +114,21 @@ def _parse_timestamp(raw: str) -> datetime:
 
 
 def _read_rows(rows: list[list[str]], ts_idx: int, val_idx: int, n_columns: int):
-    """Each reading's file line, timestamp and value, read a column at a time. A file
-    the columns reject (a bad row, or a blank row with cells) is scanned row by row."""
-    lines = [line_number for line_number, row in enumerate(rows, start=2) if row]
+    """Each reading's file line, timestamp and value, read a column at a time. Rows with
+    no text are skipped; a file the columns reject raises its first bad line's error."""
+    kept = list(map(bool, map(str.strip, map("".join, rows))))  # the row has text
+    lines = list(compress(range(2, len(rows) + 2), kept))
+    rows = list(compress(rows, kept))
     try:
-        nonempty = [row for row in rows if row]
-        stamps = list(map(_parse_timestamp, map(itemgetter(ts_idx), nonempty)))
-        values = np.array(list(map(itemgetter(val_idx), nonempty)), dtype=float)
+        stamps = list(map(_parse_timestamp, map(itemgetter(ts_idx), rows)))
+        values = np.array(list(map(itemgetter(val_idx), rows)), dtype=float)
         if (len({ts.tzinfo is None for ts in stamps}) < 2 and np.isfinite(values).all()
                 and (values >= 0).all()):
             return lines, stamps, values
     except (IndexError, ValueError):
         pass
-    lines, stamps, values = [], [], []
-    for line_number, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    first_naive = None
+    for line_number, row in zip(lines, rows):
         if len(row) <= max(ts_idx, val_idx):
             raise UnparseableRow(line_number, f"expected {n_columns} columns, got {len(row)}")
         try:
@@ -143,12 +143,10 @@ def _read_rows(rows: list[list[str]], ts_idx: int, val_idx: int, n_columns: int)
             raise UnparseableRow(line_number, f"non-finite value {row[val_idx]!r}")
         if value < 0:
             raise NegativeReading(f"line {line_number}: negative reading {value}")
-        if stamps and (ts.tzinfo is None) != (stamps[0].tzinfo is None):
+        first_naive = ts.tzinfo is None if first_naive is None else first_naive
+        if (ts.tzinfo is None) != first_naive:
             raise UnparseableRow(line_number, "mixed aware and naive timestamps")
-        lines.append(line_number)
-        stamps.append(ts)
-        values.append(value)
-    return lines, stamps, values
+    raise AssertionError("the columns rejected rows that each pass the per-row checks")
 
 
 def parse_load_csv(path,

@@ -89,6 +89,14 @@ class TestSynthAndIngest:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_synth_fewer_than_one_day_is_config_error(self, workspace, days):
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(workspace / "profile.json"), "--seed", "1",
+                     "--days", str(days), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestRun:
     def test_baseline_run_writes_valid_report(self, workspace):
