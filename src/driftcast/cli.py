@@ -119,7 +119,7 @@ def _cmd_synth(args) -> int:
         series = generate_synthetic(profile, events, noise_sd=noise_sd, seed=args.seed,
                                     n_days=args.days, resolution=resolution,
                                     start_time=start)
-    except ValueError as exc:  # --days < 1, or a resolution that does not divide a day
+    except (TypeError, ValueError) as exc:  # e.g. --days < 1, a non-numeric profile value
         raise ConfigError(f"bad synth request: {exc}") from None
     write_load_csv(series, args.out)
     print(f"wrote {len(series)} readings over {args.days} days to {args.out}")
@@ -133,6 +133,8 @@ def _cmd_run(args) -> int:
             config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(config_data, dict):
+            raise ConfigError(f"config must be a JSON object, got {config_data!r}")
     if args.mode is not None:
         config_data["mode"] = args.mode
     if args.tau is not None:
@@ -141,7 +143,7 @@ def _cmd_run(args) -> int:
         config_data["seed"] = args.seed
     try:
         config = RunConfig.from_dict(config_data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from None
     config.validate()
 

@@ -7,9 +7,9 @@ and a drift fires when it drops below the significance level tau. No fixed
 divergence threshold is ever set; the history distribution evolves as every
 day (drift or not) appends its divergence.
 
-The pool's kernel sum is kept as running state on the pool's own padded
-grid, split into estimate_kde's chunks, so a day inside the pool's range
-costs O(readings per day x grid) however long the history, and every
+The state holds the pool once, inside its kernel sum on the pool's own
+padded grid, split into estimate_kde's chunks, so a day inside the pool's
+range costs O(readings per day x grid) however long the history, and every
 divergence is bit-for-bit the one estimate_kde over the whole pool gives.
 """
 from __future__ import annotations
@@ -62,10 +62,9 @@ class PoolSums:
     @classmethod
     def build(cls, pool: np.ndarray, load_bandwidth: float, grid: Grid,
               previous: Optional["PoolSums"] = None) -> "PoolSums":
-        """Sums of `pool` on `grid`, extending `previous` when it covers a
-        prefix of the pool on the same grid, otherwise summed from the first
-        reading."""
-        if previous is not None and previous.grid == grid:
+        """Sums of `pool` on `grid`, extending `previous` (the sums of a
+        prefix of the pool on `grid`) or summed from the first reading."""
+        if previous is not None:
             closed, open_, done = previous.closed, previous.open, previous.pool.size
         else:
             closed, open_, done = np.zeros(grid.n_points), None, 0
@@ -97,24 +96,18 @@ class PoolSums:
 
 @dataclass(frozen=True)
 class DriftState:
-    """Reference readings pool plus the evolving divergence history.
+    """Reference readings pool, held once in its kernel sums, plus the
+    evolving divergence history."""
 
-    `pool_sums` caches the pool's kernel sums. It is used only while it
-    describes this very `reference_readings` array, so a state built by hand
-    or by replace() falls back to the exact path.
-    """
-
-    reference_readings: np.ndarray
+    pool_sums: PoolSums
     divergence_history: np.ndarray
     load_bandwidth: float
     grid_points: int = DEFAULT_GRID_POINTS
     use_rank_fallback: bool = False
-    pool_sums: Optional[PoolSums] = field(default=None, compare=False, repr=False)
 
-    def cached_sums(self) -> Optional[PoolSums]:
-        """The pool sums, or None when they do not describe this pool."""
-        sums = self.pool_sums
-        return sums if sums is not None and sums.pool is self.reference_readings else None
+    @property
+    def reference_readings(self) -> np.ndarray:
+        return self.pool_sums.pool
 
     @property
     def history_bandwidth(self) -> float:
@@ -143,7 +136,9 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
     if len(train_days) < 2:
         raise InsufficientHistory(f"need at least 2 training days, got {len(train_days)}")
 
-    state = DriftState(reference_readings=train_days[0].readings,
+    first = train_days[0].readings
+    grid = shared_grid(first, first, load_bandwidth, grid_points)
+    state = DriftState(pool_sums=PoolSums.build(first, load_bandwidth, grid),
                        divergence_history=np.empty(0),
                        load_bandwidth=load_bandwidth,
                        grid_points=grid_points,
@@ -156,18 +151,13 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
 def compute_divergence(state: DriftState, new_day: DaySample) -> float:
     """sqrt-JSD between the new day and the full reference pool.
 
-    The pool's KDE comes from the cached sums, moved onto the shared grid
-    when the day sets a new extreme; a state without them estimates it
-    afresh. Both give estimate_kde's bits.
+    The pool's KDE comes from the pool's sums, moved onto the shared grid
+    when the day sets a new extreme; it has estimate_kde's bits.
     """
     pool = state.reference_readings
     grid = shared_grid(new_day.readings, pool, state.load_bandwidth, state.grid_points)
-    sums = state.cached_sums()
-    if sums is not None:
-        pool_kde = density_from_sum(sums.on_grid(grid, state.load_bandwidth).total(),
-                                    int(pool.size), state.load_bandwidth, grid)
-    else:
-        pool_kde = estimate_kde(pool, state.load_bandwidth, grid)
+    pool_kde = density_from_sum(state.pool_sums.on_grid(grid, state.load_bandwidth).total(),
+                                int(pool.size), state.load_bandwidth, grid)
     div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
     return div.value
 
@@ -245,9 +235,7 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
     pool = np.concatenate([state.reference_readings, new_day.readings])
     grid = shared_grid(pool, pool, state.load_bandwidth, state.grid_points)
-    sums = state.cached_sums()
-    previous = sums.on_grid(grid, state.load_bandwidth) if sums is not None else None
+    previous = state.pool_sums.on_grid(grid, state.load_bandwidth)
     return replace(state,
-                   reference_readings=pool,
                    divergence_history=np.append(state.divergence_history, divergence),
                    pool_sums=PoolSums.build(pool, state.load_bandwidth, grid, previous))

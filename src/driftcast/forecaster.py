@@ -348,7 +348,6 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
                             d[..., 1:3, :])
     grad_head = grads.flat[..., : 11 * units]
     grad_R_t = np.empty_like(w.R)
-    R_z, R_i, R_f, R_o = (w.R[..., g * units : (g + 1) * units, :] for g in range(4))
     for t in reversed(range(steps)):
         x_t, h_prev, c_prev, z, i_f, c_t, o_g, tanh_c = cache[t]
         np.multiply(dh, tanh_c, out=do)
@@ -364,7 +363,7 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
         dc_next = dc * i_f[..., 1, :] + di * p_i + df * p_f
         # Four products added in gate order: one (4U)-deep matmul would
         # reorder the sum.
-        dh = dz @ R_z + di @ R_i + df @ R_f + do @ R_o
+        dh = dz @ w.R_z + di @ w.R_i + df @ w.R_f + do @ w.R_o
 
         np.multiply(d_all, x_t, out=xd)
         np.multiply(d_if, c_prev[..., None, :], out=cd_if)

@@ -37,13 +37,10 @@ class SearchSpace:
     learning_rates: tuple[float, ...] = DEFAULT_LEARNING_RATES
     dropout_rates: tuple[float, ...] = DEFAULT_DROPOUT_RATES
     n_units_values: tuple[int, ...] = DEFAULT_N_UNITS
-    structural_frozen: bool = False
 
     def __post_init__(self):
         if not (self.learning_rates and self.dropout_rates and self.n_units_values):
             raise ValueError("search space axes must be non-empty")
-        if self.structural_frozen and len(self.n_units_values) != 1:
-            raise ValueError("a frozen space must pin n_units to a single value")
 
     @classmethod
     def frozen(cls, incumbent_units: int,
@@ -52,7 +49,7 @@ class SearchSpace:
                ) -> "SearchSpace":
         """Non-structural space used at every adaptation."""
         return cls(learning_rates=learning_rates, dropout_rates=dropout_rates,
-                   n_units_values=(incumbent_units,), structural_frozen=True)
+                   n_units_values=(incumbent_units,))
 
     def all_points(self) -> list[Hyperparameters]:
         return [Hyperparameters(learning_rate=lr, dropout_rate=dr, n_units=nu)

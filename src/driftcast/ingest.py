@@ -277,7 +277,6 @@ class DaySegmentation(Sequence):
     days: tuple[DaySample, ...]
     dropped_leading_slots: int
     dropped_trailing_slots: int
-    dropped_anomalous_days: int
 
     def __len__(self) -> int:
         return len(self.days)
@@ -290,7 +289,7 @@ class DaySegmentation(Sequence):
             "complete_days": len(self.days),
             "dropped_leading_slots": self.dropped_leading_slots,
             "dropped_trailing_slots": self.dropped_trailing_slots,
-            "dropped_anomalous_days": self.dropped_anomalous_days,
+            "dropped_anomalous_days": 0,  # kept in the report; regular slots leave none
         }
 
 
@@ -315,8 +314,7 @@ def segment_days(series: LoadSeries) -> DaySegmentation:
                            readings=series.values[first + k * rpd : first + (k + 1) * rpd].copy())
                  for k in range(n_days))
     return DaySegmentation(days=days, dropped_leading_slots=first,
-                           dropped_trailing_slots=n - first - n_days * rpd,
-                           dropped_anomalous_days=0)
+                           dropped_trailing_slots=n - first - n_days * rpd)
 
 
 # --- chronological split ----------------------------------------------------

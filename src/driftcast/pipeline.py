@@ -155,7 +155,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         known = dict(data)
         split_data = known.pop("split", None)
-        split = SplitSpec(**split_data) if split_data else SplitSpec()
+        split = SplitSpec() if split_data is None else SplitSpec(**split_data)
         for key in ("learning_rates", "dropout_rates", "n_units_values"):
             if key in known:
                 known[key] = tuple(known[key])

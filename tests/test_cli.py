@@ -97,6 +97,20 @@ class TestSynthAndIngest:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        {"events": [{"day": 10, "kind": "mean_shift", "magnitude": "x"}]},
+        {"base": [1]},
+        {"events": [{"day": "5", "kind": "mean_shift", "magnitude": 1.0}]},
+    ])
+    def test_synth_non_numeric_profile_value_is_config_error(self, workspace, override):
+        bad_profile = workspace / "bad.json"
+        bad_profile.write_text(json.dumps({**PROFILE, **override}))
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(bad_profile), "--seed", "1",
+                     "--days", "10", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
 
 class TestRun:
     def test_baseline_run_writes_valid_report(self, workspace):
@@ -191,6 +205,9 @@ class TestRun:
         {"grid_points": 8},
         {"input_len": 0},
         {"timing_coefficient": -1},
+        {"split": {"train_fraction": 1.5}},
+        {"split": {"validation_fraction_of_train": 0.0}},
+        {"split": []},
     ])
     def test_bad_search_space_or_numeric_value_fails_before_search(
             self, workspace, monkeypatch, override):
@@ -202,6 +219,21 @@ class TestRun:
         series = _synth(workspace)
         bad = workspace / "bad_config.json"
         bad.write_text(json.dumps({**RUN_CONFIG, **override}))
+        code = main(["run", "--mode", "baseline", "--config", str(bad),
+                     "--input", str(series), "--out", str(workspace / "r.json")])
+        assert code == EXIT_CONFIG
+        assert searched == []
+
+    @pytest.mark.parametrize("config", [[], None, "x"])
+    def test_config_that_is_not_an_object_is_config_error(self, workspace, monkeypatch, config):
+        from driftcast import pipeline
+
+        searched = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: searched.append(args))
+        series = _synth(workspace)
+        bad = workspace / "bad_config.json"
+        bad.write_text(json.dumps(config))
         code = main(["run", "--mode", "baseline", "--config", str(bad),
                      "--input", str(series), "--out", str(workspace / "r.json")])
         assert code == EXIT_CONFIG

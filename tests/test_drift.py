@@ -9,7 +9,6 @@ import pytest
 from driftcast.density import KDE_CHUNK, estimate_kde, shared_grid
 from driftcast.divergence import sqrt_jsd
 from driftcast.drift import (
-    DriftState,
     advance,
     compute_divergence,
     decide,
@@ -116,11 +115,7 @@ class TestComputeDivergence:
 def _state_with_history(history, rng=None):
     rng = rng or np.random.default_rng(7)
     base = init_drift_state(stationary_days(rng, 2), load_bandwidth=1.0)
-    return base.__class__(reference_readings=base.reference_readings,
-                          divergence_history=np.asarray(history, float),
-                          load_bandwidth=base.load_bandwidth,
-                          grid_points=base.grid_points,
-                          use_rank_fallback=base.use_rank_fallback)
+    return dataclasses.replace(base, divergence_history=np.asarray(history, float))
 
 
 class TestPValue:
@@ -159,11 +154,7 @@ class TestPValue:
 
     def test_rank_fallback_used_for_tiny_history(self):
         base = _state_with_history([0.2, 0.4, 0.6])
-        ranked = base.__class__(reference_readings=base.reference_readings,
-                                divergence_history=base.divergence_history,
-                                load_bandwidth=base.load_bandwidth,
-                                grid_points=base.grid_points,
-                                use_rank_fallback=True)
+        ranked = dataclasses.replace(base, use_rank_fallback=True)
         assert p_value(ranked, 0.5) == pytest.approx(2 / 4)  # (#above + 1)/(n + 1)
         assert p_value(base, 0.5) != pytest.approx(2 / 4, abs=1e-6)
 
@@ -277,12 +268,12 @@ class TestStreamProperties:
         assert flags == [d.is_drift for d in decisions]
 
 
-# --- cached pool sums ---------------------------------------------------------
+# --- pool sums ----------------------------------------------------------------
 #
-# The detector keeps the pool's kernel sum as running state. These tests hold
-# it to the exact path bit for bit: a stream longer than one KDE_CHUNK with
-# the chunk boundary inside a day, days that set new pool extremes, and a
-# mean shift.
+# The detector holds the pool inside its running kernel sum. These tests hold
+# it to estimate_kde over the whole pool bit for bit: a stream longer than one
+# KDE_CHUNK with the chunk boundary inside a day, days that set new pool
+# extremes, and a mean shift.
 
 def _cache_stream():
     rng = np.random.default_rng(30)
@@ -304,14 +295,6 @@ def _exact_divergence(pool, readings, bandwidth=1.0):
                     estimate_kde(pool, bandwidth, grid)).value
 
 
-def _without_cache(state):
-    return DriftState(reference_readings=state.reference_readings,
-                      divergence_history=state.divergence_history,
-                      load_bandwidth=state.load_bandwidth,
-                      grid_points=state.grid_points,
-                      use_rank_fallback=state.use_rank_fallback)
-
-
 class TestPoolCache:
     def test_stream_exercises_every_path(self):
         days = _cache_stream()
@@ -320,12 +303,12 @@ class TestPoolCache:
         hits = misses = 0
         for day in days[2:]:
             grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
-            if state.cached_sums().grid == grid:
+            if state.pool_sums.grid == grid:
                 hits += 1
             else:
                 misses += 1
             state = advance(state, day, compute_divergence(state, day))
-        sums = state.cached_sums()
+        sums = state.pool_sums
         assert hits > 20 and misses >= 3
         assert sums.open is not None and np.any(sums.closed > 0)
 
@@ -340,37 +323,24 @@ class TestPoolCache:
 
     def test_decide_advance_match_exact_path_bitwise(self):
         days = _cache_stream()
-        cached = init_drift_state(days[:3], load_bandwidth=1.0)
-        exact = _without_cache(cached)
+        state = init_drift_state(days[:3], load_bandwidth=1.0)
+        history = list(state.divergence_history)
         for day in days[3:]:
-            fast = decide(cached, day, 0.1)
-            slow = decide(exact, day, 0.1)
-            assert fast.divergence == _exact_divergence(exact.reference_readings,
-                                                        day.readings)
-            assert (fast.divergence, fast.p_value, fast.is_drift) == \
-                   (slow.divergence, slow.p_value, slow.is_drift)
-            cached = advance(cached, day, fast.divergence)
-            exact = _without_cache(advance(exact, day, slow.divergence))
-        assert cached.divergence_history.tobytes() == exact.divergence_history.tobytes()
+            decision = decide(state, day, 0.1)
+            exact = _exact_divergence(state.reference_readings, day.readings)
+            p = p_value(state, exact)
+            assert (decision.divergence, decision.p_value, decision.is_drift) == \
+                   (exact, p, p < 0.1)
+            state = advance(state, day, decision.divergence)
+            history.append(exact)
+        assert state.divergence_history.tobytes() == np.array(history).tobytes()
 
-    def test_hand_built_state_gives_same_result(self):
-        days = _cache_stream()
-        state = init_drift_state(days[:35], load_bandwidth=1.0)
-        assert state.cached_sums() is not None
-        bare = _without_cache(state)
-        assert bare.cached_sums() is None
-        for day in days[35:]:
-            assert compute_divergence(bare, day) == compute_divergence(state, day)
-            assert decide(bare, day, 0.2) == decide(state, day, 0.2)
-
-    def test_replaced_pool_drops_the_cache(self):
+    def test_pool_cannot_be_replaced_apart_from_its_sums(self):
         rng = np.random.default_rng(31)
-        state = init_drift_state(stationary_days(rng, 6), load_bandwidth=1.0)
-        other = state.reference_readings + 5.0
-        swapped = dataclasses.replace(state, reference_readings=other)
-        assert swapped.cached_sums() is None
-        day = make_day(6, rng.normal(15.0, 1.0, 144))
-        assert compute_divergence(swapped, day) == _exact_divergence(other, day.readings)
+        state = init_drift_state(stationary_days(rng, 3), load_bandwidth=1.0)
+        assert state.reference_readings is state.pool_sums.pool
+        with pytest.raises(TypeError):
+            dataclasses.replace(state, reference_readings=state.reference_readings + 5.0)
 
     def test_new_extreme_day_sums_the_pool_once(self, monkeypatch):
         # decide and advance share the old pool's sums on the new grid: the
@@ -391,21 +361,21 @@ class TestPoolCache:
         state = init_drift_state(days[:12], load_bandwidth=1.0)
         day = days[12]  # sets a new pool maximum
         grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
-        assert state.cached_sums().grid != grid
+        assert state.pool_sums.grid != grid
         pool_size = state.reference_readings.size
         rows.clear()
         decision = decide(state, day, 0.1)
         advanced = advance(state, day, decision.divergence)
         assert sum(rows) == (pool_size + 2 * day.readings.size
                              + state.divergence_history.size)
-        assert advanced.cached_sums().grid == grid
+        assert advanced.pool_sums.grid == grid
         assert decision.divergence == _exact_divergence(state.reference_readings,
                                                         day.readings)
 
     def test_advance_leaves_the_old_cache_untouched(self):
         days = _cache_stream()
         state = init_drift_state(days[:5], load_bandwidth=1.0)
-        sums = state.cached_sums()
+        sums = state.pool_sums
         before = (sums.closed.copy(), None if sums.open is None else sums.open.copy())
         advance(state, days[5], 0.1)
         assert np.array_equal(sums.closed, before[0])

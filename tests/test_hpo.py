@@ -23,14 +23,9 @@ class TestSpace:
     def test_grid_size(self):
         assert len(SPACE.all_points()) == 3 * 6 * 16
 
-    def test_frozen_requires_singleton_units(self):
-        with pytest.raises(ValueError):
-            SearchSpace(n_units_values=(32, 64), structural_frozen=True)
-
     def test_frozen_constructor(self):
         space = SearchSpace.frozen(128)
         assert space.n_units_values == (128,)
-        assert space.structural_frozen
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ sums, resumed and stacked training runs, the search's score-free seeding, the
 ingest round trip, gap filling and day segmentation, and the CSV reader and
 writer against their per-row references."""
 import csv
+import dataclasses
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -16,7 +17,7 @@ from conftest import reference_parse_load_csv, reference_timestamp, reference_wr
 
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
-from driftcast.drift import DriftState, advance, decide, init_drift_state, p_value
+from driftcast.drift import advance, decide, init_drift_state, p_value
 from driftcast.errors import NoCompleteDay
 from driftcast.forecaster import (
     Hyperparameters,
@@ -57,10 +58,12 @@ def test_jsd_is_symmetric_and_bounded(a, b, bandwidth):
     assert 0.0 <= forward <= 1.0
 
 
+_ONE_READING_DAYS = [DaySample(day=date(2024, 1, d), readings=np.zeros(1)) for d in (1, 2)]
+
+
 def _history_state(history):
-    return DriftState(reference_readings=np.zeros(1),
-                      divergence_history=np.asarray(history, float),
-                      load_bandwidth=1.0)
+    return dataclasses.replace(init_drift_state(_ONE_READING_DAYS, load_bandwidth=1.0),
+                               divergence_history=np.asarray(history, float))
 
 
 @PROPERTY
@@ -268,7 +271,7 @@ def test_segmentation_accounts_for_every_slot(resolution, offset_slots, n, seed)
         return
     days = segmentation.days
     lead, trail = segmentation.dropped_leading_slots, segmentation.dropped_trailing_slots
-    assert segmentation.dropped_anomalous_days == 0
+    assert segmentation.report()["dropped_anomalous_days"] == 0
     assert lead < rpd and trail < rpd
     assert lead + len(days) * rpd + trail == n
     assert np.concatenate([d.readings for d in days]).tobytes() == \
@@ -308,10 +311,10 @@ def _segment_days_per_slot(series: LoadSeries) -> DaySegmentation:
 
     if not days:
         raise NoCompleteDay(f"series spans no complete day ({n} slots at {series.resolution})")
+    assert dropped_anomalous == 0  # a regular series has no short day inside it
     return DaySegmentation(days=tuple(days),
                            dropped_leading_slots=dropped_leading,
-                           dropped_trailing_slots=dropped_trailing,
-                           dropped_anomalous_days=dropped_anomalous)
+                           dropped_trailing_slots=dropped_trailing)
 
 
 @settings(PROPERTY, max_examples=300)
