@@ -12,19 +12,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DriftcastError,
-    EmptySeries,
-    GapTooLarge,
-    InvalidEvent,
-    MismatchedRuns,
-    NegativeReading,
-    NoCompleteDay,
-    NonMonotoneTimestamps,
-    TooFewDays,
-    UnparseableRow,
-)
+from .errors import ConfigError, DriftcastError, InputError, UnparseableRow
 from .evaluation import EvaluationReport
 from .ingest import (
     DailyProfile,
@@ -41,10 +29,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
-
-_INPUT_ERRORS = (EmptySeries, UnparseableRow, NonMonotoneTimestamps, NegativeReading,
-                 GapTooLarge, NoCompleteDay, TooFewDays, InvalidEvent, MismatchedRuns,
-                 FileNotFoundError, IsADirectoryError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,8 +167,7 @@ def _cmd_report(args) -> int:
             writer.writerow([entry.day_index.isoformat(), repr(entry.mape),
                              repr(entry.rmse)])
         return EXIT_OK
-    label = report.mode if report.tau is None else f"{report.mode}(tau={report.tau:g})"
-    print(f"run:            {label}")
+    print(f"run:            {report.label}")
     print(f"seed:           {report.seed}")
     print(f"split:          {report.split}")
     print(f"test days:      {len(report.daily_errors)}")
@@ -214,7 +197,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _INPUT_ERRORS as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DriftcastError as exc:

@@ -1,7 +1,7 @@
 """Exception types raised across the toolkit.
 
-Every operation's error contract maps to one class here so callers can
-catch precisely; all inherit from DriftcastError.
+Every operation's error contract maps to one class here; all inherit from
+DriftcastError, and those that bad input causes from InputError (exit code 2).
 """
 
 
@@ -9,21 +9,25 @@ class DriftcastError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(DriftcastError):
+    """The input stream, event list or reports are unusable as given."""
+
+
 # --- ingest ---------------------------------------------------------------
 
-class EmptySeries(DriftcastError):
+class EmptySeries(InputError):
     """Input carried no data rows."""
 
 
-class NonMonotoneTimestamps(DriftcastError):
+class NonMonotoneTimestamps(InputError):
     """Timestamps repeat or go backwards."""
 
 
-class NegativeReading(DriftcastError):
+class NegativeReading(InputError):
     """A consumption value is negative."""
 
 
-class UnparseableRow(DriftcastError):
+class UnparseableRow(InputError):
     """A CSV row could not be parsed; message carries the line number."""
 
     def __init__(self, line_number: int, message: str):
@@ -31,19 +35,19 @@ class UnparseableRow(DriftcastError):
         self.line_number = line_number
 
 
-class GapTooLarge(DriftcastError):
+class GapTooLarge(InputError):
     """A run of missing slots exceeds the allowed maximum."""
 
 
-class NoCompleteDay(DriftcastError):
+class NoCompleteDay(InputError):
     """Series does not span a single complete calendar day."""
 
 
-class TooFewDays(DriftcastError):
+class TooFewDays(InputError):
     """Not enough days to honour the split fractions."""
 
 
-class InvalidEvent(DriftcastError):
+class InvalidEvent(InputError):
     """Synthetic drift event lies outside the generated day range."""
 
 
@@ -133,7 +137,7 @@ class ZeroCost(DriftcastError):
 
 # --- pipeline -------------------------------------------------------------
 
-class MismatchedRuns(DriftcastError):
+class MismatchedRuns(InputError):
     """Reports being compared come from different inputs or splits."""
 
 

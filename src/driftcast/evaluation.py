@@ -211,6 +211,10 @@ class EvaluationReport:
     hpo_events: tuple[HpoEventRecord, ...] = ()
 
     @property
+    def label(self) -> str:
+        return self.mode if self.tau is None else f"{self.mode}(tau={self.tau:g})"
+
+    @property
     def total_cost(self) -> float:
         return self.ledger.total
 

@@ -42,15 +42,6 @@ class SearchSpace:
         if not (self.learning_rates and self.dropout_rates and self.n_units_values):
             raise ValueError("search space axes must be non-empty")
 
-    @classmethod
-    def frozen(cls, incumbent_units: int,
-               learning_rates: tuple[float, ...] = DEFAULT_LEARNING_RATES,
-               dropout_rates: tuple[float, ...] = DEFAULT_DROPOUT_RATES,
-               ) -> "SearchSpace":
-        """Non-structural space used at every adaptation."""
-        return cls(learning_rates=learning_rates, dropout_rates=dropout_rates,
-                   n_units_values=(incumbent_units,))
-
     def all_points(self) -> list[Hyperparameters]:
         return [Hyperparameters(learning_rate=lr, dropout_rate=dr, n_units=nu)
                 for lr in self.learning_rates
@@ -180,10 +171,9 @@ def optimize(objective: Callable[[Hyperparameters], float], space: SearchSpace,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     history: list[TrialRecord] = []
-    seeding = iter(seeding_points(space, budget, seed, n_init))
     for _ in range(budget):
         try:
-            candidate = next(seeding, None) or propose(history, space, seed, n_init)
+            candidate = propose(history, space, seed, n_init)
         except ExhaustedSpace:
             break
         started = timer()

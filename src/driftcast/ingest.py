@@ -244,26 +244,20 @@ def resample_and_fill(series: LoadSeries, max_gap: int) -> LoadSeries:
     if missing[0] or missing[-1]:
         raise ValueError("leading/trailing slots have no reading to interpolate from")
 
-    idx = 0
-    n = len(values)
-    while idx < n:
-        if not missing[idx]:
-            idx += 1
-            continue
-        run_start = idx
-        while idx < n and missing[idx]:
-            idx += 1
-        run_len = idx - run_start
-        if run_len > max_gap:
-            t0 = series.timestamp_at(run_start)
-            t1 = series.timestamp_at(idx - 1)
-            raise GapTooLarge(f"{run_len} consecutive missing slots "
-                              f"({t0.isoformat()} .. {t1.isoformat()}) exceed max_gap={max_gap}")
-        left = values[run_start - 1]
-        right = values[idx]
-        for k in range(run_len):
-            frac = (k + 1) / (run_len + 1)
-            values[run_start + k] = left + (right - left) * frac
+    # Missing runs are [start, end); the mask flips at each start and each end, in turn.
+    starts, ends = (np.flatnonzero(np.diff(missing)) + 1).reshape(-1, 2).T
+    lengths = ends - starts
+    too_long = np.flatnonzero(lengths > max_gap)
+    if too_long.size:
+        start, end = int(starts[too_long[0]]), int(ends[too_long[0]])
+        t0, t1 = series.timestamp_at(start), series.timestamp_at(end - 1)
+        raise GapTooLarge(f"{end - start} consecutive missing slots "
+                          f"({t0.isoformat()} .. {t1.isoformat()}) exceed max_gap={max_gap}")
+    run = np.repeat(np.arange(lengths.size), lengths)  # the run each missing slot is in
+    slots = np.flatnonzero(missing)
+    left, right = values[starts - 1][run], values[ends][run]
+    k = slots - starts[run] + 1  # 1-based position inside the run
+    values[slots] = left + (right - left) * (k / (lengths[run] + 1))
     return LoadSeries(start_time=series.start_time, resolution=series.resolution,
                       values=values)
 
@@ -302,7 +296,11 @@ def segment_days(series: LoadSeries) -> DaySegmentation:
     """
     if not series.is_gapless:
         raise ValueError("segment_days requires a gapless series; fill gaps first")
-    rpd, n, start = readings_per_day(series.resolution), len(series), series.start_time
+    try:
+        rpd = readings_per_day(series.resolution)
+    except ValueError as exc:
+        raise NoCompleteDay(f"series has no whole days: {exc}") from None
+    n, start = len(series), series.start_time
     since_midnight = start - start.replace(hour=0, minute=0, second=0, microsecond=0)
     slots_since_midnight, off_grid = divmod(since_midnight, series.resolution)
     first = (-slots_since_midnight) % rpd
@@ -388,27 +386,20 @@ def generate_synthetic(profile: DailyProfile,
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
     for event in drift_events:
-        if event.day < 1 or event.day > n_days:
+        if not 1 <= event.day <= n_days:  # NaN too
             raise InvalidEvent(f"event day {event.day} outside 1..{n_days}")
 
     rpd = readings_per_day(resolution)
     rng = np.random.default_rng(seed)
-    events = sorted(drift_events, key=lambda e: e.day)
-
-    chunks = []
-    for day_number in range(1, n_days + 1):
-        shape = profile.shape(rpd)
-        for event in events:
-            if event.day > day_number:
-                break
-            if event.kind == "mean_shift":
-                shape = shape + event.magnitude
-            elif event.kind == "scale_shift":
-                shape = shape * event.magnitude
-            else:  # shape_swap
-                shape = np.roll(shape, int(round(event.magnitude * rpd)))
-        noise = rng.normal(0.0, noise_sd, rpd) if noise_sd > 0 else np.zeros(rpd)
-        chunks.append(np.maximum(shape + noise, 0.0))
-
+    block = np.tile(profile.shape(rpd), (n_days, 1))  # row d - 1 is day d
+    for event in sorted(drift_events, key=lambda e: e.day):
+        later = block[math.ceil(event.day) - 1:]  # the event's day and every day after
+        if event.kind == "mean_shift":
+            later += event.magnitude
+        elif event.kind == "scale_shift":
+            later *= event.magnitude
+        else:  # shape_swap
+            later[:] = np.roll(later, int(round(event.magnitude * rpd)), axis=1)
+    block += rng.normal(0.0, noise_sd, (n_days, rpd)) if noise_sd > 0 else 0.0
     return LoadSeries(start_time=start_time, resolution=resolution,
-                      values=np.concatenate(chunks))
+                      values=np.maximum(block, 0.0).ravel())

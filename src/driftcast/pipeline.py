@@ -201,6 +201,9 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
     filled = resample_and_fill(series, config.max_gap)
     days = list(segment_days(filled))
     train_days, val_days, test_days = split_dataset(days, config.split)
+    if not (train_days and val_days and test_days):
+        raise ConfigError(f"split leaves a part empty: {len(train_days)} train, "
+                          f"{len(val_days)} validation and {len(test_days)} test days")
     per_day = train_days[0].readings.size
     if config.horizon * 24 != per_day:
         raise ConfigError(f"horizon {config.horizon} x 24 != {per_day} readings per day")
@@ -365,9 +368,8 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
     day_windows = _day_windows(prep.norm, day, config)
     previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
     score_windows = _day_windows(prep.norm, previous_day, config)
-    space = SearchSpace.frozen(model.hyperparameters.n_units,
-                               learning_rates=config.learning_rates,
-                               dropout_rates=config.dropout_rates)
+    space = SearchSpace(config.learning_rates, config.dropout_rates,
+                        (model.hyperparameters.n_units,))
 
     def fit(group: list[Hyperparameters]) -> list[tuple[float, object]]:
         probes, runs = incremental_update(
@@ -472,11 +474,6 @@ def compare(baseline: EvaluationReport, candidates: Sequence[EvaluationReport],
         if report.split != baseline.split:
             raise MismatchedRuns("candidate report uses a different split")
 
-    def label(report: EvaluationReport) -> str:
-        if report.mode == "active":
-            return f"active(tau={report.tau:g})"
-        return report.mode
-
     rows = []
     for report in [baseline, *candidates]:
         imp_mape = improvement(report.mean_mape, baseline.mean_mape)
@@ -489,7 +486,7 @@ def compare(baseline: EvaluationReport, candidates: Sequence[EvaluationReport],
         else:
             score = None
         rows.append({
-            "label": label(report),
+            "label": report.label,
             "mode": report.mode,
             "tau": report.tau,
             "mean_mape": report.mean_mape,

@@ -1,5 +1,6 @@
 """CLI subcommands, config handling and exit codes."""
 import json
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ class TestRun:
                      "--out", str(workspace / "r.json")])
         assert code == EXIT_INPUT
 
+    def test_resolution_not_dividing_a_day_is_input_error(self, workspace, monkeypatch):
+        from driftcast import pipeline
+
+        searched = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: searched.append(args))
+        series = workspace / "seven.csv"
+        start = datetime(2024, 1, 1)
+        series.write_text("timestamp,consumption_kwh\n" + "".join(
+            f"{(start + k * timedelta(minutes=7)).isoformat()},1.0\n" for k in range(900)))
+        out, report = workspace / "canonical.csv", workspace / "segmentation.json"
+        code = main(["ingest", str(series), "--out", str(out), "--report", str(report)])
+        assert code == EXIT_INPUT
+        assert not out.exists() and not report.exists()
+        code = main(["run", "--mode", "baseline", "--config",
+                     str(workspace / "config.json"), "--input", str(series),
+                     "--out", str(workspace / "r.json")])
+        assert code == EXIT_INPUT
+        assert searched == []
+
     def test_zero_consumption_is_runtime_failure(self, workspace):
         zero_profile = workspace / "zero.json"
         zero_profile.write_text(json.dumps({"base": 0.0, "peaks": [],
@@ -208,6 +229,9 @@ class TestRun:
         {"split": {"train_fraction": 1.5}},
         {"split": {"validation_fraction_of_train": 0.0}},
         {"split": []},
+        {"split": {"train_fraction": 0.01}},
+        {"split": {"train_fraction": 0.2}},
+        {"split": {"validation_fraction_of_train": 0.05}},
     ])
     def test_bad_search_space_or_numeric_value_fails_before_search(
             self, workspace, monkeypatch, override):

@@ -23,10 +23,6 @@ class TestSpace:
     def test_grid_size(self):
         assert len(SPACE.all_points()) == 3 * 6 * 16
 
-    def test_frozen_constructor(self):
-        space = SearchSpace.frozen(128)
-        assert space.n_units_values == (128,)
-
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace(learning_rates=())
@@ -80,7 +76,7 @@ class TestOptimize:
             assert all(a >= b for a, b in zip(bests, bests[1:]))
 
     def test_frozen_space_preserves_incumbent_units(self):
-        space = SearchSpace.frozen(96)
+        space = SearchSpace(n_units_values=(96,))
         _, history = optimize(quadratic, space, budget=10, seed=2)
         assert all(t.hyperparameters.n_units == 96 for t in history)
 

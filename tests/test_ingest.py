@@ -164,6 +164,25 @@ class TestResampleAndFill:
         filled = resample_and_fill(series, max_gap=2)
         assert np.allclose(filled.values, [3.0, 5.0, 7.0, 9.0])
 
+    def test_gaps_of_different_lengths_fill_bit_for_bit(self):
+        values = np.array([0.3, np.nan, 1.7, 2.9, np.nan, np.nan, np.nan, 0.1])
+        filled = resample_and_fill(LoadSeries(datetime(2024, 1, 1), TEN_MIN, values),
+                                   max_gap=3)
+        expected = values.copy()
+        for start, n in ((1, 1), (4, 3)):
+            left, right = values[start - 1], values[start + n]
+            for k in range(1, n + 1):
+                expected[start + k - 1] = left + (right - left) * (k / (n + 1))
+        assert filled.values.tobytes() == expected.tobytes()
+
+    def test_first_run_too_long_is_named(self):
+        values = np.array([1.0, np.nan, 2.0, *[np.nan] * 4, 3.0, *[np.nan] * 5, 4.0])
+        series = LoadSeries(datetime(2024, 1, 1), TEN_MIN, values)
+        with pytest.raises(GapTooLarge, match=r"^4 consecutive missing slots "
+                           r"\(2024-01-01T00:30:00 \.\. 2024-01-01T01:00:00\) "
+                           r"exceed max_gap=3$"):
+            resample_and_fill(series, max_gap=3)
+
 
 def _series_of_slots(n_slots, start=datetime(2024, 1, 1), values=None):
     if values is None:
@@ -258,10 +277,11 @@ class TestSynthetic:
         assert abs(observed - 5.0) < 3 * noise_sd / np.sqrt(144)
 
     def test_event_outside_range_rejected(self):
-        with pytest.raises(InvalidEvent):
-            generate_synthetic(DailyProfile(),
-                               [DriftEvent(day=40, kind="mean_shift", magnitude=1.0)],
-                               noise_sd=0.0, seed=0, n_days=30)
+        for day in (40, float("nan")):
+            with pytest.raises(InvalidEvent):
+                generate_synthetic(DailyProfile(),
+                                   [DriftEvent(day=day, kind="mean_shift", magnitude=1.0)],
+                                   noise_sd=0.0, seed=0, n_days=30)
         with pytest.raises(InvalidEvent):
             DriftEvent(day=3, kind="sideways_shift", magnitude=1.0)
 
