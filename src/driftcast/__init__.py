@@ -37,6 +37,7 @@ from .forecaster import (
     Hyperparameters,
     NormStats,
     SupervisedWindow,
+    SupervisedWindows,
     build_windows,
     incremental_update,
     load_model,

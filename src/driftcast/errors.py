@@ -48,7 +48,7 @@ class TooFewDays(InputError):
 
 
 class InvalidEvent(InputError):
-    """Synthetic drift event lies outside the generated day range."""
+    """Synthetic drift event is not a whole day inside the generated range."""
 
 
 # --- density --------------------------------------------------------------

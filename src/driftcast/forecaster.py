@@ -15,8 +15,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -210,24 +210,40 @@ class SupervisedWindow:
     target: np.ndarray  # the next horizon normalized readings
 
 
+@dataclass(frozen=True, eq=False)
+class SupervisedWindows(Sequence):
+    """A block of windows: row k of `inputs` (n, input_len) and `targets`
+    (n, horizon) is window k. From `build_windows` both are read-only views
+    of the segment, so a block holds no per-window copies."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, index):
+        kind = SupervisedWindows if isinstance(index, slice) else SupervisedWindow
+        return kind(self.inputs[index], self.targets[index])
+
+
 def build_windows(series_segment, input_len: int = DEFAULT_INPUT_LEN,
-                  horizon: int = DEFAULT_HORIZON) -> list[SupervisedWindow]:
+                  horizon: int = DEFAULT_HORIZON) -> SupervisedWindows:
     """All maximal input/target windows over a contiguous segment."""
     if input_len < 1 or horizon < 1:
         raise ValueError("input_len and horizon must be >= 1")
     seg = np.asarray(series_segment, dtype=float).ravel()
-    windows = []
-    for start in range(seg.size - input_len - horizon + 1):
-        windows.append(SupervisedWindow(
-            input=seg[start : start + input_len].copy(),
-            target=seg[start + input_len : start + input_len + horizon].copy()))
-    return windows
+    width = input_len + horizon
+    rows = (np.lib.stride_tricks.sliding_window_view(seg, width) if seg.size >= width
+            else np.empty((0, width)))
+    return SupervisedWindows(rows[:, :input_len], rows[:, input_len:])
 
 
 def stack_windows(windows: Sequence[SupervisedWindow]) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([w.input for w in windows])
-    targets = np.stack([w.target for w in windows])
-    return inputs, targets
+    """(inputs, targets): a block's own views, or a list of windows stacked."""
+    if isinstance(windows, SupervisedWindows):
+        return windows.inputs, windows.targets
+    return np.stack([w.input for w in windows]), np.stack([w.target for w in windows])
 
 
 # --- forward / backward -------------------------------------------------------
@@ -588,12 +604,11 @@ def predict_day(model: ForecastModel, day_context, day_readings) -> list[np.ndar
     if not (np.all(np.isfinite(context)) and np.all(np.isfinite(readings))):
         raise NonFiniteInput("context or day readings contain NaN or infinity")
 
-    normalized = model.norm_stats.normalize(np.concatenate([context, readings]))
-    rows = []
-    for hour in range(24):
-        end = context.size + hour * steps_per_hour
-        rows.append(normalized[end - model.input_len : end])
-    predictions = batch_forward(model.weights, np.stack(rows))
+    # Window k ends just before reading k of the day; hour h reads window h * steps_per_hour.
+    normalized = model.norm_stats.normalize(
+        np.concatenate([context[context.size - model.input_len:], readings]))
+    rows = np.lib.stride_tricks.sliding_window_view(normalized, model.input_len)
+    predictions = batch_forward(model.weights, rows[: readings.size : steps_per_hour])
     return [model.norm_stats.denormalize(row) for row in predictions]
 
 

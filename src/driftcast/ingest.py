@@ -385,15 +385,17 @@ def generate_synthetic(profile: DailyProfile,
     """Deterministic drifting stream: stationary until each event's day."""
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
+    if not noise_sd >= 0:  # NaN too
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     for event in drift_events:
-        if not 1 <= event.day <= n_days:  # NaN too
-            raise InvalidEvent(f"event day {event.day} outside 1..{n_days}")
+        if not (1 <= event.day <= n_days and event.day % 1 == 0):  # NaN too
+            raise InvalidEvent(f"event day {event.day} is not a whole day in 1..{n_days}")
 
     rpd = readings_per_day(resolution)
     rng = np.random.default_rng(seed)
     block = np.tile(profile.shape(rpd), (n_days, 1))  # row d - 1 is day d
     for event in sorted(drift_events, key=lambda e: e.day):
-        later = block[math.ceil(event.day) - 1:]  # the event's day and every day after
+        later = block[int(event.day) - 1:]  # the event's day and every day after
         if event.kind == "mean_shift":
             later += event.magnitude
         elif event.kind == "scale_shift":

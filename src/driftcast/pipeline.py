@@ -49,7 +49,7 @@ from .forecaster import (
     ForecastModel,
     Hyperparameters,
     NormStats,
-    SupervisedWindow,
+    SupervisedWindows,
     batch_forward,
     build_windows,
     incremental_update,
@@ -181,8 +181,8 @@ class PreparedRun:
     validation_days: list[DaySample]
     test_days: list[DaySample]
     norm: NormStats
-    train_windows: list[SupervisedWindow]
-    val_windows: list[SupervisedWindow]
+    train_windows: SupervisedWindows
+    val_windows: SupervisedWindows
 
     @property
     def pretest_days(self) -> list[DaySample]:
@@ -209,8 +209,13 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
         raise ConfigError(f"horizon {config.horizon} x 24 != {per_day} readings per day")
     train = np.concatenate([d.readings for d in train_days])
     pretest = np.concatenate([train, *(d.readings for d in val_days)])
-    if config.input_len > pretest.size:
-        raise ConfigError(f"input_len {config.input_len} > {pretest.size} pre-test readings")
+    parts = {"train": train.size, "validation": pretest.size - train.size}
+    if config.mode != "baseline":  # an adaptation trains on one day, scores on the day before
+        parts["daily"] = per_day
+    for part, size in parts.items():
+        if config.input_len + config.horizon > size:
+            raise ConfigError(f"input_len {config.input_len} + horizon {config.horizon} "
+                              f"leaves no window in the {size} {part} readings")
     if not np.all(np.isfinite(pretest)):
         raise NonFiniteInput("pre-test readings contain NaN or infinity")
     if not config.exclude_zero_actuals:
@@ -252,8 +257,7 @@ def _validation_mape(model_norm: NormStats, weights, windows) -> float:
                        model_norm.denormalize(predicted))
 
 
-def _day_windows(norm: NormStats, day: DaySample, config: RunConfig,
-                 ) -> list[SupervisedWindow]:
+def _day_windows(norm: NormStats, day: DaySample, config: RunConfig) -> SupervisedWindows:
     return build_windows(norm.normalize(day.readings), config.input_len, config.horizon)
 
 
@@ -317,7 +321,7 @@ def _stacked_search(space: SearchSpace, budget: int, seed: int, clock: _CostCloc
 
 
 def _search_and_train(config: RunConfig, prep: PreparedRun, clock: _CostClock,
-                      windows: Sequence[SupervisedWindow], budget: int, seed: int,
+                      windows: SupervisedWindows, budget: int, seed: int,
                       ) -> tuple[ForecastModel, float, Hyperparameters, float]:
     """Full-space HPO in which every trial trains a fresh network on `windows`.
 

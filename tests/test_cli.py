@@ -90,6 +90,28 @@ class TestSynthAndIngest:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise_sd,expected", [
+        (-1.0, EXIT_CONFIG), (float("nan"), EXIT_CONFIG), (0.0, EXIT_OK)])
+    def test_synth_noise_must_not_be_negative(self, workspace, noise_sd, expected):
+        profile = workspace / "noise.json"
+        profile.write_text(json.dumps({**PROFILE, "noise_sd": noise_sd}))
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(profile), "--seed", "1",
+                     "--days", "10", "--out", str(out)])
+        assert code == expected
+        assert out.exists() == (expected == EXIT_OK)
+
+    @pytest.mark.parametrize("day,expected", [(10.5, EXIT_INPUT), (10.0, EXIT_OK), (10, EXIT_OK)])
+    def test_synth_event_day_must_be_a_whole_number(self, workspace, day, expected):
+        profile = workspace / "event.json"
+        profile.write_text(json.dumps({**PROFILE, "events": [
+            {"day": day, "kind": "mean_shift", "magnitude": 5.0}]}))
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(profile), "--seed", "1",
+                     "--days", "12", "--out", str(out)])
+        assert code == expected
+        assert out.exists() == (expected == EXIT_OK)
+
     @pytest.mark.parametrize("days", [0, -3])
     def test_synth_fewer_than_one_day_is_config_error(self, workspace, days):
         out = workspace / "s.csv"
@@ -245,6 +267,26 @@ class TestRun:
         bad.write_text(json.dumps({**RUN_CONFIG, **override}))
         code = main(["run", "--mode", "baseline", "--config", str(bad),
                      "--input", str(series), "--out", str(workspace / "r.json")])
+        assert code == EXIT_CONFIG
+        assert searched == []
+
+    @pytest.mark.parametrize("days,mode", [
+        (12, "baseline"), (12, "passive"), (12, "active"), (26, "passive"), (26, "active")])
+    def test_input_len_that_leaves_no_window_fails_before_search(self, workspace, monkeypatch,
+                                                                 days, mode):
+        # 140 + 6 readings exceed the one validation day of 12 days, and the one day
+        # an adaptation trains on.
+        from driftcast import pipeline
+
+        searched = []
+        monkeypatch.setattr(pipeline, "optimize",
+                            lambda *args, **kwargs: searched.append(args))
+        series = _synth(workspace, days=days)
+        wide = workspace / "wide_config.json"
+        wide.write_text(json.dumps({**RUN_CONFIG, "input_len": 140}))
+        code = main(["run", "--mode", mode, "--config", str(wide), "--input", str(series),
+                     "--out", str(workspace / "r.json"),
+                     *(["--tau", "1"] if mode == "active" else [])])
         assert code == EXIT_CONFIG
         assert searched == []
 

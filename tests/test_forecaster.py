@@ -22,6 +22,8 @@ from driftcast.forecaster import (
     Hyperparameters,
     LstmWeights,
     NormStats,
+    SupervisedWindow,
+    SupervisedWindows,
     build_windows,
     incremental_update,
     load_model,
@@ -29,6 +31,7 @@ from driftcast.forecaster import (
     new_model,
     predict_day,
     save_model,
+    stack_windows,
     train,
 )
 
@@ -52,6 +55,63 @@ class TestWindows:
         first = windows[0]
         assert np.array_equal(first.input, np.arange(12.0))
         assert np.array_equal(first.target, np.arange(12.0, 18.0))
+
+    def test_block_matches_the_per_window_loop_bitwise(self):
+        rng = np.random.default_rng(21)
+        for input_len, horizon in ((12, 6), (1, 1), (30, 6), (138, 6), (5, 9)):
+            for n in (0, input_len + horizon - 1, input_len + horizon,
+                      *rng.integers(0, 3 * (input_len + horizon), 8)):
+                segment = rng.normal(size=n)
+                block, oracle = build_windows(segment, input_len, horizon), _windows_oracle(
+                    segment, input_len, horizon)
+                assert isinstance(block, SupervisedWindows)
+                assert len(block) == len(oracle)
+                assert block.inputs.shape == (len(oracle), input_len)
+                assert block.targets.shape == (len(oracle), horizon)
+                for got, want in zip(block, oracle):
+                    assert got.input.tobytes() == want.input.tobytes()
+                    assert got.target.tobytes() == want.target.tobytes()
+                if oracle:
+                    for got, want in zip(stack_windows(block), stack_windows(oracle)):
+                        assert got.tobytes() == want.tobytes()
+
+    def test_views_are_read_only_and_share_the_segment(self):
+        segment = np.random.default_rng(22).random(50)
+        block = build_windows(segment, 12, 6)
+        inputs, targets = stack_windows(block)
+        assert inputs is block.inputs and targets is block.targets
+        for view in (inputs, targets, block[3].input, block[3].target, block[2:9].inputs):
+            assert np.shares_memory(view, segment)
+            assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            block.inputs[0, 0] = 1.0
+        part = block[5:9]
+        assert isinstance(part, SupervisedWindows) and len(part) == 4
+        assert part[0].input.tobytes() == segment[5:17].tobytes()
+        assert block[-1].target.tobytes() == segment[-6:].tobytes()
+
+    def test_train_on_a_list_of_windows_equals_train_on_the_block(self):
+        windows, val = _training_set(np.random.default_rng(23), n_days=2)
+        # The form of a caller that builds its windows by hand: separate arrays.
+        listed, listed_val = ([SupervisedWindow(input=np.array(w.input), target=np.array(w.target))
+                               for w in block] for block in (windows, val))
+        model = _model(seed=9, dropout=0.2)
+        for got, want in ((train(model, listed, listed_val, epochs=3),
+                           train(model, windows, val, epochs=3)),
+                          (incremental_update(model, listed[:70], HP, epochs=2),
+                           incremental_update(model, windows[:70], HP, epochs=2))):
+            assert got.weights.flat.tobytes() == want.weights.flat.tobytes()
+
+
+def _windows_oracle(segment, input_len, horizon):
+    """The per-window loop `build_windows` replaced: one copied pair per window."""
+    seg = np.asarray(segment, dtype=float).ravel()
+    windows = []
+    for start in range(seg.size - input_len - horizon + 1):
+        windows.append(SupervisedWindow(
+            input=seg[start : start + input_len].copy(),
+            target=seg[start + input_len : start + input_len + horizon].copy()))
+    return windows
 
 
 class TestForward:
@@ -305,6 +365,19 @@ class TestPredictDay:
         forecasts = predict_day(model, series, np.full(144, constant))
         stacked = np.concatenate(forecasts)
         assert np.all(np.abs(stacked - constant) / constant < 0.05)
+
+    def test_matches_the_per_hour_loop_bitwise(self):
+        rng = np.random.default_rng(24)
+        for input_len, context_len in ((12, 12), (12, 400), (30, 31), (138, 144)):
+            model = _model(seed=input_len, vmin=2.0, vmax=17.0, input_len=input_len)
+            context, day = rng.uniform(5, 15, context_len), rng.uniform(5, 15, 144)
+            # The loop `predict_day` replaced: one normalized slice per hour, stacked.
+            normalized = model.norm_stats.normalize(np.concatenate([context, day]))
+            rows = np.stack([normalized[context_len + 6 * hour - input_len : context_len + 6 * hour]
+                             for hour in range(24)])
+            want = model.norm_stats.denormalize(batch_forward(model.weights, rows))
+            got = predict_day(model, context, day)
+            assert np.stack(got).tobytes() == want.tobytes()
 
     def test_insufficient_context_rejected(self):
         model = _model()

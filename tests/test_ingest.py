@@ -285,6 +285,24 @@ class TestSynthetic:
         with pytest.raises(InvalidEvent):
             DriftEvent(day=3, kind="sideways_shift", magnitude=1.0)
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan")])
+    def test_negative_or_nan_noise_rejected(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd"):
+            generate_synthetic(DailyProfile(), [], noise_sd=noise_sd, seed=0, n_days=2)
+
+    def test_event_day_must_be_a_whole_number(self):
+        def shifted(day):
+            return generate_synthetic(DailyProfile(),
+                                      [DriftEvent(day=day, kind="mean_shift", magnitude=1.0)],
+                                      noise_sd=0.0, seed=0, n_days=12)
+
+        with pytest.raises(InvalidEvent, match="10.5"):
+            shifted(10.5)
+        days = segment_days(shifted(10))
+        assert shifted(10.0).values.tobytes() == np.concatenate(
+            [d.readings for d in days]).tobytes()
+        assert np.array_equal(days[9].readings, days[8].readings + 1.0)
+
     def test_scale_shift_multiplies(self):
         series = generate_synthetic(
             DailyProfile(), [DriftEvent(day=3, kind="scale_shift", magnitude=2.0)],

@@ -9,7 +9,7 @@ from driftcast import pipeline
 from driftcast.errors import ConfigError, MismatchedRuns, ZeroActual
 from driftcast.evaluation import CostLedger, EvaluationReport
 from driftcast.forecaster import build_windows
-from driftcast.ingest import DailyProfile, generate_synthetic
+from driftcast.ingest import DailyProfile, SplitSpec, generate_synthetic
 from driftcast.pipeline import (
     RunConfig,
     compare,
@@ -217,6 +217,31 @@ class TestFailFast:
         config = dataclasses.replace(_small_config(), input_len=9 * 144 + 1)
         with pytest.raises(ConfigError, match="input_len"):
             prepare_run(config, _small_series())
+
+    @pytest.mark.parametrize("mode,tau,n_days,split,input_len,part", [
+        ("baseline", None, 12, {}, 140, "validation"),
+        ("active", 0.0, 12, {}, 140, "validation"),
+        ("baseline", None, 12, {"validation_fraction_of_train": 0.8}, 2 * 144, "train"),
+        ("passive", None, 26, {}, 140, "daily"),
+        ("active", 1.0, 26, {}, 140, "daily"),
+    ])
+    def test_input_len_must_leave_every_part_a_window(self, monkeypatch, mode, tau, n_days,
+                                                      split, input_len, part):
+        # 140 + 6 readings do not fit one 10-minute day. Of 12 days the split keeps
+        # one for validation, or two for training at validation_fraction_of_train 0.8.
+        self._no_search(monkeypatch)
+        config = dataclasses.replace(_small_config(mode, tau), input_len=input_len,
+                                     split=SplitSpec(**split))
+        with pytest.raises(ConfigError, match=rf"no window in the \d+ {part} readings"):
+            prepare_run(config, _small_series(n_days=n_days))
+
+    def test_the_widest_input_a_day_allows_is_accepted(self):
+        config = dataclasses.replace(_small_config("passive"), input_len=138)
+        prep = prepare_run(config, _small_series(n_days=26))
+        assert len(pipeline._day_windows(prep.norm, prep.test_days[0], config)) == 1
+        assert len(prep.val_windows) == len(prep.validation_days) * 144 - 143
+        baseline = dataclasses.replace(_small_config(), input_len=140)
+        assert len(prepare_run(baseline, _small_series(n_days=26)).val_windows) > 0
 
     @pytest.mark.parametrize("override,match", [
         (dict(grid_points=8), "grid_points"),

@@ -16,8 +16,11 @@ above `epochs_incremental`; `retune_units_full_retrain` runs; and initial
 searches whose score-free seeding trials train as stacks: three learning
 rates whose members stop early at different epochs (patience 1), a budget
 above `n_init` so surrogate trials follow the seeding batch, and a seeding
-batch that mixes 4 and 8 units. Capture a golden directory from the parent
-tree (point PYTHONPATH at its `src`), then compare with the change's tree.
+batch that mixes 4 and 8 units; and passive runs at `input_len` 30 (with
+`retune_units_full_retrain`) and 138, the largest a 10-minute day admits, so
+that an adaptation trains on one window per day. Capture a golden directory
+from the parent tree (point PYTHONPATH at its `src`), then compare with the
+change's tree.
 """
 from __future__ import annotations
 
@@ -91,6 +94,11 @@ def cases():
                                           dropout_rates=(0.0, 0.2, 0.4)), series["d26"])
         yield (f"d26-mixed-s{seed}", replace(d26, hpo_initial_budget=5, n_units_values=(4, 8),
                                              dropout_rates=(0.0, 0.2)), series["d26"])
+        yield (f"d26-len30-retrain-s{seed}", replace(d26, input_len=30, n_units_values=(4, 8),
+                                                     retune_units_full_retrain=True,
+                                                     **POLICIES["passive"]), series["d26"])
+        yield (f"d26-len138-passive-s{seed}", replace(d26, input_len=138, **POLICIES["passive"]),
+               series["d26"])
 
 
 def main(argv=None) -> int:
