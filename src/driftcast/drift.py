@@ -39,10 +39,6 @@ from .ingest import DaySample
 # padded by 5 history bandwidths.
 _HISTORY_DOMAIN = (0.0, 1.0)
 
-# Below this many recorded divergences the optional empirical-rank fallback
-# takes over (when enabled).
-RANK_FALLBACK_MAX_HISTORY = 10
-
 
 @dataclass(frozen=True, eq=False)
 class PoolSums:
@@ -103,7 +99,6 @@ class DriftState:
     divergence_history: np.ndarray
     load_bandwidth: float
     grid_points: int = DEFAULT_GRID_POINTS
-    use_rank_fallback: bool = False
 
     @property
     def reference_readings(self) -> np.ndarray:
@@ -125,8 +120,7 @@ class DriftDecision:
 
 
 def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
-                     grid_points: int = DEFAULT_GRID_POINTS,
-                     use_rank_fallback: bool = False) -> DriftState:
+                     grid_points: int = DEFAULT_GRID_POINTS) -> DriftState:
     """Seed the detector from d training days.
 
     Runs the live detector over the training days: day k is compared with
@@ -141,8 +135,7 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
     state = DriftState(pool_sums=PoolSums.build(first, load_bandwidth, grid),
                        divergence_history=np.empty(0),
                        load_bandwidth=load_bandwidth,
-                       grid_points=grid_points,
-                       use_rank_fallback=use_rank_fallback)
+                       grid_points=grid_points)
     for day in train_days[1:]:
         state = advance(state, day, compute_divergence(state, day))
     return state
@@ -204,11 +197,7 @@ def p_value(state: DriftState, divergence: float) -> float:
     history = state.divergence_history
     if history.size == 0:
         raise EmptyHistory("no divergence history recorded yet")
-    if state.use_rank_fallback and history.size < RANK_FALLBACK_MAX_HISTORY:
-        p = float((np.sum(history > divergence) + 1) / (history.size + 1))
-    else:
-        p = tail_mass(history, divergence, state.history_bandwidth,
-                      n_points=state.grid_points)
+    p = tail_mass(history, divergence, state.history_bandwidth, n_points=state.grid_points)
     return min(p, _P_CAP)
 
 

@@ -1,6 +1,6 @@
 """Error metrics, daily aggregation, cost ledger and trade-off score.
 
-MAPE and RMSE are computed per hourly forecast (the 6 steps of the hour),
+MAPE and RMSE are computed per hourly forecast (the readings of the hour),
 then averaged over the 24 hours of a day; per-run means and standard
 deviations aggregate the daily figures. Adaptation cost is duration times
 a configurable price rate per minute, and the trade-off score divides the
@@ -27,7 +27,7 @@ from .errors import (
     ZeroCost,
 )
 
-DEFAULT_EPSILON_ZERO = 1e-6
+EPSILON_ZERO = 1e-6
 
 # Documented-as-arbitrary default: currency units per minute of adaptation.
 DEFAULT_PRICE_RATE = 0.027
@@ -37,13 +37,12 @@ REPORT_SCHEMA_VERSION = 2
 COST_KINDS = ("initial_training", "adaptation", "hpo")
 
 
-def near_zero_actuals(actual, epsilon_zero: float = DEFAULT_EPSILON_ZERO) -> np.ndarray:
+def near_zero_actuals(actual) -> np.ndarray:
     """Mask of the actual values too close to zero for a percentage error."""
-    return np.abs(np.asarray(actual, dtype=float)) <= epsilon_zero
+    return np.abs(np.asarray(actual, dtype=float)) <= EPSILON_ZERO
 
 
-def mape(actual, forecast, epsilon_zero: float = DEFAULT_EPSILON_ZERO,
-         exclude_zero_actuals: bool = False) -> float:
+def mape(actual, forecast, exclude_zero_actuals: bool = False) -> float:
     """Mean absolute percentage error: (1/n) sum |A - F| / |A| * 100."""
     a = np.asarray(actual, dtype=float).ravel()
     f = np.asarray(forecast, dtype=float).ravel()
@@ -51,11 +50,11 @@ def mape(actual, forecast, epsilon_zero: float = DEFAULT_EPSILON_ZERO,
         raise LengthMismatch(f"actual has {a.size} values, forecast {f.size}")
     if a.size == 0:
         raise LengthMismatch("cannot score empty vectors")
-    near_zero = near_zero_actuals(a, epsilon_zero)
+    near_zero = near_zero_actuals(a)
     if near_zero.any():
         if not exclude_zero_actuals:
             raise ZeroActual(f"{int(near_zero.sum())} actual value(s) within "
-                             f"{epsilon_zero} of zero")
+                             f"{EPSILON_ZERO} of zero")
         a, f = a[~near_zero], f[~near_zero]
         if a.size == 0:
             raise ZeroActual("every actual value is (numerically) zero")
@@ -82,12 +81,11 @@ class DailyError:
 
 
 def daily_error(day_index: date, hourly_pairs: Sequence[tuple],
-                epsilon_zero: float = DEFAULT_EPSILON_ZERO,
                 exclude_zero_actuals: bool = False) -> DailyError:
     """Average the 24 hourly error figures into one daily number each."""
     if len(hourly_pairs) != 24:
         raise WrongCount(f"expected 24 hourly pairs, got {len(hourly_pairs)}")
-    mapes = [mape(a, f, epsilon_zero, exclude_zero_actuals) for a, f in hourly_pairs]
+    mapes = [mape(a, f, exclude_zero_actuals) for a, f in hourly_pairs]
     rmses = [rmse(a, f) for a, f in hourly_pairs]
     return DailyError(day_index=day_index, mape=float(np.mean(mapes)),
                       rmse=float(np.mean(rmses)))

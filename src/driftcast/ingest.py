@@ -388,7 +388,8 @@ def generate_synthetic(profile: DailyProfile,
     if not noise_sd >= 0:  # NaN too
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     for event in drift_events:
-        if not (1 <= event.day <= n_days and event.day % 1 == 0):  # NaN too
+        if isinstance(event.day, bool) or not (1 <= event.day <= n_days
+                                               and event.day % 1 == 0):  # NaN too
             raise InvalidEvent(f"event day {event.day} is not a whole day in 1..{n_days}")
 
     rpd = readings_per_day(resolution)

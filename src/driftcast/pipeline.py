@@ -26,8 +26,8 @@ from .density import Grid
 from .drift import DriftDecision, advance, decide, init_drift_state
 from .errors import ConfigError, MismatchedRuns, NonFiniteInput, ZeroActual
 from .evaluation import (
-    DEFAULT_EPSILON_ZERO,
     DEFAULT_PRICE_RATE,
+    EPSILON_ZERO,
     CostLedger,
     DailyError,
     EvaluationReport,
@@ -43,7 +43,6 @@ from .evaluation import (
 )
 from .forecaster import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_HORIZON,
     DEFAULT_INPUT_LEN,
     DEFAULT_PATIENCE,
     ForecastModel,
@@ -76,9 +75,10 @@ from .ingest import (
 )
 
 MODES = ("baseline", "passive", "active")
-# The values a numeric field's annotation admits; bool, though an int, is neither.
-_NUMERIC = {"int": numbers.Integral, "float": numbers.Real, "Optional[float]": numbers.Real,
-            "tuple[int, ...]": numbers.Integral, "tuple[float, ...]": numbers.Real}
+# The values a field's annotation admits; bool, though an int, is no number.
+_ADMITS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
+           "Optional[float]": numbers.Real, "tuple[int, ...]": numbers.Integral,
+           "tuple[float, ...]": numbers.Real}
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class RunConfig:
     grid_points: int = 512
     split: SplitSpec = field(default_factory=SplitSpec)
     input_len: int = DEFAULT_INPUT_LEN
-    horizon: int = DEFAULT_HORIZON
     hpo_initial_budget: int = 15
     hpo_adapt_budget: int = 8
     hpo_fit_epochs: int = 3
@@ -105,18 +104,16 @@ class RunConfig:
     learning_rates: tuple[float, ...] = DEFAULT_LEARNING_RATES
     dropout_rates: tuple[float, ...] = DEFAULT_DROPOUT_RATES
     n_units_values: tuple[int, ...] = DEFAULT_N_UNITS
-    use_rank_fallback: bool = False
     exclude_zero_actuals: bool = False
-    epsilon_zero: float = DEFAULT_EPSILON_ZERO
     retune_units_full_retrain: bool = False
 
     def validate(self) -> None:
         for f in fields(self):
-            value, kind = getattr(self, f.name), _NUMERIC.get(f.type)
-            if kind and any(isinstance(v, bool) or not isinstance(v, kind)
+            value, kind = getattr(self, f.name), _ADMITS.get(f.type)
+            if kind and any(isinstance(v, bool) is not (kind is bool) or not isinstance(v, kind)
                             for v in (value if isinstance(value, tuple) else (value,))
                             if not (v is None and f.type.startswith("Optional"))):
-                raise ConfigError(f"{f.name} must hold numbers of type {f.type}, got {value!r}")
+                raise ConfigError(f"{f.name} must hold values of type {f.type}, got {value!r}")
         try:  # the search space's own rules: non-empty axes, valid rates and widths
             SearchSpace(self.learning_rates, self.dropout_rates, self.n_units_values).all_points()
         except ValueError as exc:
@@ -177,6 +174,7 @@ def _derived_seed(seed: int, *parts: int) -> int:
 @dataclass
 class PreparedRun:
     digest: str
+    horizon: int  # readings per hour: one forecast covers an hour
     train_days: list[DaySample]
     validation_days: list[DaySample]
     test_days: list[DaySample]
@@ -187,6 +185,10 @@ class PreparedRun:
     @property
     def pretest_days(self) -> list[DaySample]:
         return self.train_days + self.validation_days
+
+    def windows(self, readings: np.ndarray, input_len: int) -> SupervisedWindows:
+        """The supervised windows of raw `readings`, normalized as the run's."""
+        return build_windows(self.norm.normalize(readings), input_len, self.horizon)
 
     def split_sizes(self) -> dict:
         return {
@@ -205,49 +207,42 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
         raise ConfigError(f"split leaves a part empty: {len(train_days)} train, "
                           f"{len(val_days)} validation and {len(test_days)} test days")
     per_day = train_days[0].readings.size
-    if config.horizon * 24 != per_day:
-        raise ConfigError(f"horizon {config.horizon} x 24 != {per_day} readings per day")
+    horizon, rest = divmod(per_day, 24)
+    if rest:
+        raise ConfigError(f"{per_day} readings per day do not split into 24 hourly forecasts")
     train = np.concatenate([d.readings for d in train_days])
     pretest = np.concatenate([train, *(d.readings for d in val_days)])
     parts = {"train": train.size, "validation": pretest.size - train.size}
     if config.mode != "baseline":  # an adaptation trains on one day, scores on the day before
         parts["daily"] = per_day
     for part, size in parts.items():
-        if config.input_len + config.horizon > size:
-            raise ConfigError(f"input_len {config.input_len} + horizon {config.horizon} "
+        if config.input_len + horizon > size:
+            raise ConfigError(f"input_len {config.input_len} + horizon {horizon} "
                               f"leaves no window in the {size} {part} readings")
     if not np.all(np.isfinite(pretest)):
         raise NonFiniteInput("pre-test readings contain NaN or infinity")
     if not config.exclude_zero_actuals:
-        _reject_zero_actuals(test_days, config.epsilon_zero)
+        _reject_zero_actuals(test_days)
     norm = NormStats.fit(train)
-    train_windows = build_windows(norm.normalize(train), config.input_len, config.horizon)
-    val_windows = build_windows(norm.normalize(pretest[train.size:]), config.input_len,
-                                config.horizon)
-    return PreparedRun(digest=series_digest(filled.values),
+    train_windows = build_windows(norm.normalize(train), config.input_len, horizon)
+    val_windows = build_windows(norm.normalize(pretest[train.size:]), config.input_len, horizon)
+    return PreparedRun(digest=series_digest(filled.values), horizon=horizon,
                        train_days=train_days, validation_days=val_days,
                        test_days=test_days, norm=norm,
                        train_windows=train_windows, val_windows=val_windows)
 
 
-def _reject_zero_actuals(test_days: Sequence[DaySample], epsilon_zero: float) -> None:
+def _reject_zero_actuals(test_days: Sequence[DaySample]) -> None:
     """Fail before training on a test day whose scoring would hit a zero."""
     for day in test_days:
-        zeros = sum(int(near_zero_actuals(actual, epsilon_zero).sum())
-                    for actual in _hourly_actuals(day))
+        zeros = int(near_zero_actuals(day.readings).sum())
         if zeros:
             raise ZeroActual(f"test day {day.day} has {zeros} actual value(s) within "
-                             f"{epsilon_zero} of zero; set exclude_zero_actuals "
+                             f"{EPSILON_ZERO} of zero; set exclude_zero_actuals "
                              f"to score without them")
 
 
 # --- scoring helpers -----------------------------------------------------------
-
-
-def _hourly_actuals(day: DaySample) -> list[np.ndarray]:
-    """The day's readings cut into the 24 hourly blocks that are scored."""
-    steps = day.readings.size // 24
-    return [day.readings[h * steps : (h + 1) * steps] for h in range(24)]
 
 
 def _validation_mape(model_norm: NormStats, weights, windows) -> float:
@@ -257,16 +252,11 @@ def _validation_mape(model_norm: NormStats, weights, windows) -> float:
                        model_norm.denormalize(predicted))
 
 
-def _day_windows(norm: NormStats, day: DaySample, config: RunConfig) -> SupervisedWindows:
-    return build_windows(norm.normalize(day.readings), config.input_len, config.horizon)
-
-
 def _score_day(config: RunConfig, model: ForecastModel, context: np.ndarray,
                day: DaySample) -> DailyError:
     forecasts = predict_day(model, context, day.readings)
-    pairs = list(zip(_hourly_actuals(day), forecasts))
-    return daily_error(day.day, pairs, epsilon_zero=config.epsilon_zero,
-                       exclude_zero_actuals=config.exclude_zero_actuals)
+    pairs = list(zip(day.readings.reshape(24, -1), forecasts))  # one block per hour
+    return daily_error(day.day, pairs, exclude_zero_actuals=config.exclude_zero_actuals)
 
 
 # --- cost clock and model updates ----------------------------------------------
@@ -298,11 +288,17 @@ class _CostClock:
 _STACK_MAX_UNITS = 48
 
 
-def _stacked_search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit):
+def _search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit,
+            epochs: int, windows: int):
     """`optimize` whose first call for a seeding point of at most _STACK_MAX_UNITS
     units has `fit` train its same-width seeding group as one stack, giving each
     member's (score, result); the group's later calls read the cache. Keeps only
-    the best result (lowest score, ties to the earliest trial, as optimize's min)."""
+    the best result (lowest score, ties to the earliest trial, as optimize's min).
+
+    Returns the best hyperparameters, their score, their result and the
+    search's duration, charged as `epochs` over `windows` windows per trial.
+    """
+    started = clock.now()
     seeding, scores, best = seeding_points(space, budget, seed), {}, {}
 
     def objective(hp: Hyperparameters) -> float:
@@ -317,32 +313,26 @@ def _stacked_search(space: SearchSpace, budget: int, seed: int, clock: _CostCloc
         return scores[hp]
 
     best_hp, trials = optimize(objective, space, budget=budget, seed=seed, timer=clock.now)
-    return best_hp, trials, best["result"]
+    return (best_hp, min(t.score for t in trials), best["result"],
+            clock.charge(started, epochs, windows, len(trials)))
 
 
-def _search_and_train(config: RunConfig, prep: PreparedRun, clock: _CostClock,
-                      windows: SupervisedWindows, budget: int, seed: int,
-                      ) -> tuple[ForecastModel, float, Hyperparameters, float]:
-    """Full-space HPO in which every trial trains a fresh network on `windows`.
-
-    Returns the winning model, the duration of the whole search, the
-    winner's hyperparameters and its validation score.
-    """
+def _fresh_search(config: RunConfig, prep: PreparedRun, clock: _CostClock,
+                  windows: SupervisedWindows, budget: int, seed: int):
+    """Full-space `_search` in which every trial trains a fresh network on
+    `windows`; its result is the winning model."""
     space = SearchSpace(learning_rates=config.learning_rates,
                         dropout_rates=config.dropout_rates,
                         n_units_values=config.n_units_values)
 
     def fit(group: list[Hyperparameters]) -> list[tuple[float, ForecastModel]]:
-        trained = train([new_model(hp, prep.norm, config.input_len, config.horizon,
+        trained = train([new_model(hp, prep.norm, config.input_len, prep.horizon,
                                    rng_seed=config.seed) for hp in group], windows,
                         prep.val_windows, epochs=config.epochs_initial,
                         batch_size=config.batch_size, patience=config.patience)
         return [(_validation_mape(prep.norm, m.weights, prep.val_windows), m) for m in trained]
 
-    started = clock.now()
-    best_hp, trials, model = _stacked_search(space, budget, seed, clock, fit)
-    duration = clock.charge(started, config.epochs_initial, len(windows), len(trials))
-    return model, duration, best_hp, min(t.score for t in trials)
+    return _search(space, budget, seed, clock, fit, config.epochs_initial, len(windows))
 
 
 def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
@@ -361,17 +351,15 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
     """
     if config.retune_units_full_retrain:
         history = prep.pretest_days + seen_test_days + [day]
-        windows = build_windows(
-            prep.norm.normalize(np.concatenate([d.readings for d in history])),
-            config.input_len, config.horizon)
-        retrained, duration, tuned, loss = _search_and_train(
+        windows = prep.windows(np.concatenate([d.readings for d in history]), config.input_len)
+        tuned, loss, retrained, duration = _fresh_search(
             config, prep, clock, windows, config.hpo_adapt_budget,
             _derived_seed(config.seed, 2, event))
         return replace(retrained, version=model.version + 1), 0.0, duration, tuned, loss
 
-    day_windows = _day_windows(prep.norm, day, config)
+    day_windows = prep.windows(day.readings, config.input_len)
     previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
-    score_windows = _day_windows(prep.norm, previous_day, config)
+    score_windows = prep.windows(previous_day.readings, config.input_len)
     space = SearchSpace(config.learning_rates, config.dropout_rates,
                         (model.hyperparameters.n_units,))
 
@@ -382,17 +370,15 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
         return [(_validation_mape(prep.norm, probe.weights, score_windows), run)
                 for probe, run in zip(probes, runs)]
 
-    started = clock.now()
-    tuned, trials, best_run = _stacked_search(space, config.hpo_adapt_budget,
-                                              _derived_seed(config.seed, 1, event), clock, fit)
-    hpo_duration = clock.charge(started, config.hpo_fit_epochs, len(day_windows),
-                                len(trials))
+    tuned, loss, best_run, hpo_duration = _search(
+        space, config.hpo_adapt_budget, _derived_seed(config.seed, 1, event), clock, fit,
+        config.hpo_fit_epochs, len(day_windows))
     started = clock.now()
     updated = incremental_update(model, day_windows, tuned,
                                  epochs=config.epochs_incremental,
                                  batch_size=config.batch_size, resume=best_run)
     fit_duration = clock.charge(started, config.epochs_incremental, len(day_windows))
-    return updated, hpo_duration, fit_duration, tuned, min(t.score for t in trials)
+    return updated, hpo_duration, fit_duration, tuned, loss
 
 
 # --- the run -----------------------------------------------------------------
@@ -402,21 +388,17 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     """Score every test day, then adapt as the mode's policy says."""
     prep = prepare_run(config, series)
     clock = _CostClock(config.deterministic_timing, config.timing_coefficient)
-    model, duration, best_hp, loss = _search_and_train(
+    best_hp, loss, model, duration = _fresh_search(
         config, prep, clock, prep.train_windows, config.hpo_initial_budget,
         _derived_seed(config.seed, 0))
     ledger = record_cost(CostLedger(price_rate=config.price_rate),
                          prep.pretest_days[-1].day, "initial_training", duration)
-    hpo_events = [HpoEventRecord(event=0, day_index=None,
-                                 learning_rate=best_hp.learning_rate,
-                                 dropout_rate=best_hp.dropout_rate,
-                                 n_units=best_hp.n_units, loss=loss)]
+    hpo_events = [HpoEventRecord(event=0, day_index=None, loss=loss, **asdict(best_hp))]
 
     active = config.mode == "active"
     if active:  # baseline and passive never build or consult the detector
         state = init_drift_state(prep.pretest_days, config.load_bandwidth,
-                                 grid_points=config.grid_points,
-                                 use_rank_fallback=config.use_rank_fallback)
+                                 grid_points=config.grid_points)
     context = np.concatenate([d.readings for d in prep.pretest_days])[-config.input_len:]
     daily_errors: list[DailyError] = []
     decisions: list[DriftDecision] = []
@@ -431,9 +413,8 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
                 config, prep, clock, model, day, seen, event)
             ledger = record_cost(ledger, day.day, "hpo", hpo_duration)
             ledger = record_cost(ledger, day.day, "adaptation", fit_duration)
-            hpo_events.append(HpoEventRecord(
-                event=event, day_index=day.day, learning_rate=tuned.learning_rate,
-                dropout_rate=tuned.dropout_rate, n_units=tuned.n_units, loss=loss))
+            hpo_events.append(HpoEventRecord(event=event, day_index=day.day, loss=loss,
+                                             **asdict(tuned)))
         if active:
             state = advance(state, day, decisions[-1].divergence)
         seen.append(day)

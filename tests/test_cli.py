@@ -101,7 +101,8 @@ class TestSynthAndIngest:
         assert code == expected
         assert out.exists() == (expected == EXIT_OK)
 
-    @pytest.mark.parametrize("day,expected", [(10.5, EXIT_INPUT), (10.0, EXIT_OK), (10, EXIT_OK)])
+    @pytest.mark.parametrize("day,expected", [(10.5, EXIT_INPUT), (True, EXIT_INPUT),
+                                              (10.0, EXIT_OK), (10, EXIT_OK)])
     def test_synth_event_day_must_be_a_whole_number(self, workspace, day, expected):
         profile = workspace / "event.json"
         profile.write_text(json.dumps({**PROFILE, "events": [
@@ -172,6 +173,23 @@ class TestRun:
                      "--input", str(series), "--out", str(workspace / "r.json")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_setting_accepts_true_and_false(self, workspace, value):
+        from driftcast.pipeline import RunConfig, prepare_run
+
+        series = _synth(workspace)
+        config = workspace / "bool_config.json"
+        config.write_text(json.dumps({**RUN_CONFIG, "deterministic_timing": value}))
+        out = workspace / "r.json"
+        code = main(["run", "--mode", "baseline", "--config", str(config),
+                     "--input", str(series), "--out", str(out)])
+        assert code == EXIT_OK
+        windows = len(prepare_run(RunConfig.from_dict(RUN_CONFIG),
+                                  parse_load_csv(series)).train_windows)
+        charged = EvaluationReport.from_json(out.read_text()).ledger.entries[0].duration_seconds
+        # Deterministic timing charges 1e-3 s per epoch and window of the one trial.
+        assert (charged == 1e-3 * RUN_CONFIG["epochs_initial"] * windows) == value
+
     def test_too_few_days_is_input_error(self, workspace):
         quiet_profile = workspace / "quiet.json"
         quiet_profile.write_text(json.dumps({**PROFILE, "events": []}))
@@ -215,17 +233,32 @@ class TestRun:
                      "--out", str(workspace / "r.json")])
         assert code == EXIT_RUNTIME
 
-    def test_quarter_hour_data_with_the_default_horizon_fails_before_search(
+    def test_quarter_hour_data_forecasts_four_readings_an_hour(self, workspace):
+        from driftcast.pipeline import RunConfig, prepare_run
+
+        quarter = workspace / "quarter.json"
+        quarter.write_text(json.dumps({**PROFILE, "resolution_minutes": 15}))
+        series = workspace / "quarter.csv"
+        assert main(["synth", "--profile", str(quarter), "--seed", "3",
+                     "--days", "12", "--out", str(series)]) == EXIT_OK
+        code = main(["run", "--mode", "passive", "--config",
+                     str(workspace / "config.json"), "--input", str(series),
+                     "--out", str(workspace / "r.json")])
+        assert code == EXIT_OK
+        assert prepare_run(RunConfig.from_dict(RUN_CONFIG), parse_load_csv(series)).horizon == 4
+
+    def test_readings_per_day_not_dividing_into_hours_fail_before_search(
             self, workspace, monkeypatch):
+        # A 45-minute stream has 32 readings a day: no whole number per hour.
         from driftcast import pipeline
 
         searched = []
         monkeypatch.setattr(pipeline, "optimize",
                             lambda *args, **kwargs: searched.append(args))
-        quarter = workspace / "quarter.json"
-        quarter.write_text(json.dumps({**PROFILE, "resolution_minutes": 15}))
-        series = workspace / "quarter.csv"
-        assert main(["synth", "--profile", str(quarter), "--seed", "3",
+        profile = workspace / "three_quarter.json"
+        profile.write_text(json.dumps({**PROFILE, "resolution_minutes": 45}))
+        series = workspace / "three_quarter.csv"
+        assert main(["synth", "--profile", str(profile), "--seed", "3",
                      "--days", "12", "--out", str(series)]) == EXIT_OK
         code = main(["run", "--mode", "passive", "--config",
                      str(workspace / "config.json"), "--input", str(series),
@@ -254,6 +287,14 @@ class TestRun:
         {"split": {"train_fraction": 0.01}},
         {"split": {"train_fraction": 0.2}},
         {"split": {"validation_fraction_of_train": 0.05}},
+        {"deterministic_timing": "false"},
+        {"deterministic_timing": "no"},
+        {"deterministic_timing": 0},
+        {"exclude_zero_actuals": "no"},
+        {"retune_units_full_retrain": 0},
+        {"horizon": 6},
+        {"use_rank_fallback": False},
+        {"epsilon_zero": 1e-6},
     ])
     def test_bad_search_space_or_numeric_value_fails_before_search(
             self, workspace, monkeypatch, override):

@@ -152,12 +152,6 @@ class TestPValue:
         with pytest.raises(EmptyHistory):
             p_value(state, 0.3)
 
-    def test_rank_fallback_used_for_tiny_history(self):
-        base = _state_with_history([0.2, 0.4, 0.6])
-        ranked = dataclasses.replace(base, use_rank_fallback=True)
-        assert p_value(ranked, 0.5) == pytest.approx(2 / 4)  # (#above + 1)/(n + 1)
-        assert p_value(base, 0.5) != pytest.approx(2 / 4, abs=1e-6)
-
 
 class TestDecide:
     def test_is_drift_iff_p_below_tau(self):

@@ -298,6 +298,8 @@ class TestSynthetic:
 
         with pytest.raises(InvalidEvent, match="10.5"):
             shifted(10.5)
+        with pytest.raises(InvalidEvent, match="True"):  # a JSON boolean is no day
+            shifted(True)
         days = segment_days(shifted(10))
         assert shifted(10.0).values.tobytes() == np.concatenate(
             [d.readings for d in days]).tobytes()

@@ -8,7 +8,6 @@ import pytest
 from driftcast import pipeline
 from driftcast.errors import ConfigError, MismatchedRuns, ZeroActual
 from driftcast.evaluation import CostLedger, EvaluationReport
-from driftcast.forecaster import build_windows
 from driftcast.ingest import DailyProfile, SplitSpec, generate_synthetic
 from driftcast.pipeline import (
     RunConfig,
@@ -207,11 +206,6 @@ class TestFailFast:
 
         monkeypatch.setattr(pipeline, "optimize", no_search)
 
-    def test_horizon_must_cover_an_hour(self, monkeypatch):
-        self._no_search(monkeypatch)
-        with pytest.raises(ConfigError, match="readings per day"):
-            run_baseline(dataclasses.replace(_small_config(), horizon=4), _small_series())
-
     def test_input_len_must_fit_the_pretest_context(self, monkeypatch):
         self._no_search(monkeypatch)
         config = dataclasses.replace(_small_config(), input_len=9 * 144 + 1)
@@ -238,7 +232,7 @@ class TestFailFast:
     def test_the_widest_input_a_day_allows_is_accepted(self):
         config = dataclasses.replace(_small_config("passive"), input_len=138)
         prep = prepare_run(config, _small_series(n_days=26))
-        assert len(pipeline._day_windows(prep.norm, prep.test_days[0], config)) == 1
+        assert len(prep.windows(prep.test_days[0].readings, config.input_len)) == 1
         assert len(prep.val_windows) == len(prep.validation_days) * 144 - 143
         baseline = dataclasses.replace(_small_config(), input_len=140)
         assert len(prepare_run(baseline, _small_series(n_days=26)).val_windows) > 0
@@ -299,9 +293,9 @@ class TestResumedFinalFit:
                                      epochs_incremental=epochs)
         series = _small_series()
         run_passive(config, series)
-        for day, count in zip(prepare_run(config, series).test_days, per_event,
-                              strict=True):
-            windows = len(build_windows(day.readings, config.input_len, config.horizon))
+        prep = prepare_run(config, series)
+        for day, count in zip(prep.test_days, per_event, strict=True):
+            windows = len(prep.windows(day.readings, config.input_len))
             batches = -(-windows // config.batch_size)
             epochs_trained = (config.hpo_adapt_budget * probe_epochs
                               + max(epochs - probe_epochs, 0))
@@ -337,11 +331,11 @@ class TestCosts:
                                      learning_rates=(0.01, 0.001))
         series = _small_series()
         report = run_passive(config, series)
-        test_days = prepare_run(config, series).test_days
+        prep = prepare_run(config, series)
         entries = report.ledger.entries[1:]
-        assert [e.kind for e in entries] == ["hpo", "adaptation"] * len(test_days)
-        for day, hpo, fit in zip(test_days, entries[::2], entries[1::2]):
-            windows = len(build_windows(day.readings, config.input_len, config.horizon))
+        assert [e.kind for e in entries] == ["hpo", "adaptation"] * len(prep.test_days)
+        for day, hpo, fit in zip(prep.test_days, entries[::2], entries[1::2]):
+            windows = len(prep.windows(day.readings, config.input_len))
             trials = config.hpo_adapt_budget  # one probe per learning rate
             tuning = config.timing_coefficient * config.hpo_fit_epochs * windows * trials
             fitting = config.timing_coefficient * config.epochs_incremental * windows
@@ -449,13 +443,26 @@ class TestStackedSearch:
         run_baseline(config, _small_series())
         assert calls[0] == max(epochs_run) * batches
 
-    def test_only_the_first_lowest_trial_is_kept_across_interleaved_widths(self):
+    def _recording_optimize(self, monkeypatch) -> list:
+        """Have every search hand its trial list to the returned list too."""
+        searched, optimize = [], pipeline.optimize
+
+        def recording(*args, **kwargs):
+            best_hp, trials = optimize(*args, **kwargs)
+            searched.append(trials)
+            return best_hp, trials
+
+        monkeypatch.setattr(pipeline, "optimize", recording)
+        return searched
+
+    def test_only_the_first_lowest_trial_is_kept_across_interleaved_widths(self, monkeypatch):
         from driftcast.hpo import seeding_points
 
         space = pipeline.SearchSpace(learning_rates=(0.001, 0.01), dropout_rates=(0.0, 0.2),
                                      n_units_values=(4, 8))
         clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
         seeding = seeding_points(space, 7, 3)
+        searched = self._recording_optimize(monkeypatch)
         # Widths 8, 4, 8, ...: the first group trained holds trials 0 and 2, so a
         # tie between trials 1 and 2 must still go to trial 1, as optimize's min.
         assert [hp.n_units for hp in seeding[:3]] == [8, 4, 8]
@@ -467,26 +474,31 @@ class TestStackedSearch:
                 groups.append(group)
                 return [(score(hp), hp) for hp in group]
 
-            best_hp, trials, kept = pipeline._stacked_search(space, 7, 3, clock, fit)
+            best_hp, best_score, kept, duration = pipeline._search(space, 7, 3, clock, fit, 2, 3)
+            trials = searched[-1]
+            assert best_score == min(t.score for t in trials)
+            assert duration == 2 * 3 * len(trials)  # epochs x windows x trials
             assert [t.hyperparameters for t in trials[:5]] == seeding
             assert kept == best_hp == min(trials, key=lambda t: t.score).hyperparameters
             assert all(len({hp.n_units for hp in group}) == 1 for group in groups)
             assert {hp for group in groups[:2] for hp in group} == set(seeding)
             assert [len(group) for group in groups[2:]] == [1, 1]  # surrogate trials alone
 
-    def test_only_narrow_seeding_groups_train_as_a_stack(self):
+    def test_only_narrow_seeding_groups_train_as_a_stack(self, monkeypatch):
         from driftcast.hpo import seeding_points
 
         space = pipeline.SearchSpace(learning_rates=(0.0001, 0.001, 0.01), dropout_rates=(0.0,),
                                      n_units_values=(32, 64))
         clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
         seeding, groups = seeding_points(space, 5, 0), []
+        searched = self._recording_optimize(monkeypatch)
 
         def fit(group):
             groups.append(group)
             return [(hp.learning_rate, hp) for hp in group]
 
-        best_hp, trials, kept = pipeline._stacked_search(space, 5, 0, clock, fit)
+        best_hp, _, kept, _ = pipeline._search(space, 5, 0, clock, fit, 1, 1)
+        trials = searched[-1]
         narrow = [hp for hp in seeding if hp.n_units <= pipeline._STACK_MAX_UNITS]
         assert len(narrow) > 1 and len(narrow) < len(seeding)
         assert narrow in groups

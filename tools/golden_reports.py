@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 try:
@@ -99,6 +100,10 @@ def cases():
                                                      **POLICIES["passive"]), series["d26"])
         yield (f"d26-len138-passive-s{seed}", replace(d26, input_len=138, **POLICIES["passive"]),
                series["d26"])
+        quarter = generate_synthetic(PROFILE, STREAMS["d26"][1], noise_sd=0.35, seed=seed,
+                                     n_days=26, resolution=timedelta(minutes=15))
+        for policy in ("baseline", "passive", "active0.15"):
+            yield f"d26q15-{policy}-s{seed}", replace(d26, **POLICIES[policy]), quarter
 
 
 def main(argv=None) -> int:
