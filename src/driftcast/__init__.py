@@ -11,7 +11,7 @@ between the two.
 __version__ = "0.1.0"
 
 from .density import DensityEstimate, Grid, estimate_kde, shared_grid, silverman_bandwidth
-from .divergence import DivergenceValue, jsd, kl_divergence, shannon_entropy, sqrt_jsd
+from .divergence import DivergenceValue, jsd, kl_divergence, sqrt_jsd
 from .drift import (
     DriftDecision,
     DriftState,

@@ -1,4 +1,4 @@
-"""Entropy, KL and Jensen-Shannon divergences between gridded densities.
+"""KL and Jensen-Shannon divergences between gridded densities.
 
 The Jensen-Shannon divergence is computed in log base 2 so its value is
 bounded in [0, 1]; its square root satisfies the triangle inequality and
@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityEstimate
-from .errors import GridMismatch, UnnormalizedDensity
+from .errors import GridMismatch
 
 # Densities are floored here before entering a log denominator.
 _Q_FLOOR = 1e-300
-
-# Entropy refuses densities whose grid mass strays further than this from 1.
-_MASS_TOLERANCE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -34,18 +31,6 @@ def _require_same_grid(p: DensityEstimate, q: DensityEstimate) -> None:
         raise GridMismatch(
             f"densities on different grids: {p.grid.key()} vs {q.grid.key()}"
         )
-
-
-def shannon_entropy(p: DensityEstimate, base: float = 2.0) -> float:
-    """Differential entropy -integral p log p, trapezoid rule, 0 log 0 = 0."""
-    mass = p.mass()
-    if abs(mass - 1.0) > _MASS_TOLERANCE:
-        raise UnnormalizedDensity(f"density mass {mass:.4f} deviates from 1")
-    d = p.density
-    integrand = np.zeros_like(d)
-    pos = d > 0
-    integrand[pos] = -d[pos] * np.log(d[pos])
-    return float(np.trapezoid(integrand, dx=p.grid.spacing)) / math.log(base)
 
 
 def kl_divergence(p: DensityEstimate, q: DensityEstimate,

@@ -67,10 +67,6 @@ class GridMismatch(DriftcastError):
     """Two densities were evaluated on different grids."""
 
 
-class UnnormalizedDensity(DriftcastError):
-    """Density mass deviates too far from 1 for an entropy computation."""
-
-
 # --- drift ----------------------------------------------------------------
 
 class InsufficientHistory(DriftcastError):

@@ -172,10 +172,6 @@ class LstmWeights:
     def copy(self) -> "LstmWeights":
         return LstmWeights.packed(self.flat.copy(), self.n_units, self.horizon)
 
-    def equals(self, other: "LstmWeights") -> bool:
-        return (self.n_units == other.n_units and self.horizon == other.horizon
-                and np.array_equal(self.flat, other.flat))
-
 
 def _packed_size(n_units: int, horizon: int) -> int:
     return 4 * n_units * (n_units + 2) + 3 * n_units + horizon * (n_units + 1)

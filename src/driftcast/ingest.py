@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -53,10 +55,9 @@ class LoadSeries:
             raise EmptySeries("a LoadSeries needs at least one value")
         if self.resolution <= timedelta(0):
             raise ValueError(f"resolution must be positive, got {self.resolution}")
-        present = self.values[~np.isnan(self.values)]
-        if not np.all(np.isfinite(present)):
+        if np.isinf(self.values).any():  # NaN marks a missing slot; no copy without them
             raise ValueError("readings must be finite")
-        if np.any(present < 0):
+        if (self.values < 0).any():
             raise NegativeReading("consumption readings must be >= 0")
 
     def __len__(self) -> int:
@@ -105,6 +106,9 @@ def readings_per_day(resolution: timedelta) -> int:
 
 _MICROSECOND = timedelta(microseconds=1)
 
+# Rows read, and slots written, at a time: about 1 MB of Python objects.
+_CSV_BLOCK = 2048
+
 
 def _parse_timestamp(raw: str) -> datetime:
     text = raw.strip()
@@ -113,22 +117,47 @@ def _parse_timestamp(raw: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def _read_rows(rows: list[list[str]], ts_idx: int, val_idx: int, n_columns: int):
-    """Each reading's file line, timestamp and value, read a column at a time. Rows with
-    no text are skipped; a file the columns reject raises its first bad line's error."""
-    kept = list(map(bool, map(str.strip, map("".join, rows))))  # the row has text
-    lines = list(compress(range(2, len(rows) + 2), kept))
-    rows = list(compress(rows, kept))
-    try:
-        stamps = list(map(_parse_timestamp, map(itemgetter(ts_idx), rows)))
-        values = np.array(list(map(itemgetter(val_idx), rows)), dtype=float)
-        if (len({ts.tzinfo is None for ts in stamps}) < 2 and np.isfinite(values).all()
-                and (values >= 0).all()):
-            return lines, stamps, values
-    except (IndexError, ValueError):
-        pass
-    first_naive = None
-    for line_number, row in zip(lines, rows):
+def _read_columns(reader, ts_idx: int, val_idx: int, n_columns: int):
+    """The first reading's timestamp, then each reading's microseconds after it and its
+    value, in file order, read a block of rows and a column at a time. Rows with no text
+    are skipped; a block the columns reject raises its first bad line's error."""
+    first, micros, values, line = None, array("q"), array("d"), 2
+    while rows := list(islice(reader, _CSV_BLOCK)):
+        # A row has text if its joined cells do; the file lines are counted only on error.
+        lines = compress(range(line, line + len(rows)), map(str.strip, map("".join, rows)))
+        line, rows = line + len(rows), list(compress(rows, map(str.strip, map("".join, rows))))
+        if not rows:
+            continue
+        try:
+            stamps = list(map(_parse_timestamp, map(itemgetter(ts_idx), rows)))
+            block = np.array(list(map(itemgetter(val_idx), rows)), dtype=float)
+            first = first or stamps[0]
+            valid = ({ts.tzinfo is None for ts in stamps} <= {first.tzinfo is None}
+                     and np.isfinite(block).all() and (block >= 0).all())
+        except (IndexError, ValueError):
+            valid = False
+        if not valid:
+            _raise_first_bad_row(zip(lines, rows), ts_idx, val_idx, n_columns, first)
+        micros.extend((ts - first) // _MICROSECOND for ts in stamps)
+        values.frombytes(block.tobytes())
+        del lines, rows, stamps  # before the next block is read
+    return first, np.frombuffer(micros, dtype=np.int64), np.frombuffer(values)
+
+
+def _stamp_at(path, index: int, ts_idx: int) -> tuple[int, datetime]:
+    """The file line and timestamp of the index-th row with text, read again from the
+    file: the parse keeps neither."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = ((line, row) for line, row in enumerate(csv.reader(handle), start=1)
+                if line > 1 and "".join(row).strip())
+        line, row = next(islice(rows, index, None))
+    return line, _parse_timestamp(row[ts_idx])
+
+
+def _raise_first_bad_row(rows, ts_idx: int, val_idx: int, n_columns: int, first):
+    """Raise the error of the first (file line, cells) row that fails a per-row check."""
+    first_naive = first and first.tzinfo is None  # None until the file has a reading
+    for line_number, row in rows:
         if len(row) <= max(ts_idx, val_idx):
             raise UnparseableRow(line_number, f"expected {n_columns} columns, got {len(row)}")
         try:
@@ -147,6 +176,12 @@ def _read_rows(rows: list[list[str]], ts_idx: int, val_idx: int, n_columns: int)
         if (ts.tzinfo is None) != first_naive:
             raise UnparseableRow(line_number, "mixed aware and naive timestamps")
     raise AssertionError("the columns rejected rows that each pass the per-row checks")
+
+
+def _gap_counts(micros: np.ndarray) -> Counter:
+    """How often each gap between consecutive offsets occurs, a block at a time."""
+    return Counter(chain.from_iterable(np.diff(micros[lo : lo + _CSV_BLOCK + 1]).tolist()
+                                       for lo in range(0, micros.size - 1, _CSV_BLOCK)))
 
 
 def parse_load_csv(path,
@@ -171,62 +206,65 @@ def parse_load_csv(path,
         except ValueError:
             raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
                                     f"got {header}") from None
-        rows = list(reader)
-    lines, stamps, values = _read_rows(rows, ts_idx, val_idx, len(header))
-    if not stamps:
+        first, micros, values = _read_columns(reader, ts_idx, val_idx, len(header))
+    if not micros.size:
         raise EmptySeries(f"{path}: no data rows")
 
-    # Microseconds from the earliest reading, stably sorted as list.sort; aware in UTC.
-    micros = np.array([(ts - stamps[0]) // _MICROSECOND for ts in stamps], dtype=np.int64)
-    order = np.argsort(micros, kind="stable")
-    micros = micros[order] - micros[order[0]]
-    values = np.asarray(values, dtype=float)[order]
-    repeats = np.flatnonzero(np.diff(micros) <= 0)
-    if repeats.size:
-        repeated = stamps[order[repeats[0] + 1]]
-        raise NonMonotoneTimestamps(f"timestamp {repeated.isoformat()} repeats")
+    gaps = _gap_counts(micros) or Counter([DEFAULT_RESOLUTION // _MICROSECOND])  # one reading
+    order = range(micros.size)  # the file index of each reading in time order
+    if min(gaps) <= 0:  # sort stably, as list.sort; aware stamps compare in UTC
+        order = np.argsort(micros, kind="stable")
+        micros, values = micros[order] - micros[order[0]], values[order]
+        repeats = np.flatnonzero(np.diff(micros) <= 0)
+        if repeats.size:
+            repeated = _stamp_at(path, order[repeats[0] + 1], ts_idx)[1]
+            raise NonMonotoneTimestamps(f"timestamp {repeated.isoformat()} repeats")
+        gaps = _gap_counts(micros)
+    start = _stamp_at(path, order[0], ts_idx)[1] if order[0] else first  # with its offset
 
-    start = stamps[order[0]]
-    if len(stamps) == 1:
-        return LoadSeries(start_time=start, resolution=DEFAULT_RESOLUTION, values=values)
-
-    # The most frequent gap; np.unique sorts, so a tie goes to the smallest.
-    gaps, counts = np.unique(np.diff(micros), return_counts=True)
-    resolution = timedelta(microseconds=int(gaps[np.argmax(counts)]))
-
-    # total_seconds() / step, exactly while the span is under 2**53 us (285 years).
-    exact = micros / 1e6 / resolution.total_seconds()
-    slots = np.rint(exact)
-    misaligned = np.flatnonzero(np.abs(exact - slots) > 1e-6)
-    if misaligned.size:
-        row = order[misaligned[0]]
-        raise UnparseableRow(lines[row],
-                             f"timestamp {stamps[row].isoformat()} is not aligned with the "
-                             f"inferred {resolution} resolution")
-    filled = np.full(int(slots[-1]) + 1, np.nan)
-    filled[slots.astype(np.intp)] = values
-    return LoadSeries(start_time=start, resolution=resolution, values=filled)
+    # The most frequent gap; max keeps the first of a tie, so sorted gives the smallest.
+    resolution = timedelta(microseconds=max(sorted(gaps), key=gaps.__getitem__))
+    gapless = True
+    for lo in range(0, micros.size, _CSV_BLOCK):
+        # total_seconds() / step, exactly while the span is under 2**53 us (285 years).
+        exact = micros[lo : lo + _CSV_BLOCK] / 1e6 / resolution.total_seconds()
+        slots = np.rint(exact)
+        misaligned = np.flatnonzero(np.abs(exact - slots) > 1e-6)
+        if misaligned.size:
+            line, stamp = _stamp_at(path, order[lo + misaligned[0]], ts_idx)
+            raise UnparseableRow(line, f"timestamp {stamp.isoformat()} is not aligned with "
+                                       f"the inferred {resolution} resolution")
+        gapless = gapless and np.array_equal(slots, np.arange(lo, lo + slots.size))
+        micros[lo : lo + _CSV_BLOCK] = slots  # each reading's slot, from here on
+    if not gapless:
+        filled = np.full(int(micros[-1]) + 1, np.nan)
+        filled[micros] = values
+        values = filled
+    return LoadSeries(start_time=start, resolution=resolution, values=values)
 
 
 def write_load_csv(series: LoadSeries, path) -> None:
-    """Write the series back out in the canonical two-column schema: a row
-    per present slot, as csv.writer writes [timestamp_at(i).isoformat(), repr(value)]."""
-    present = np.flatnonzero(~np.isnan(series.values))
+    """Write the series in the canonical two-column schema a block of slots at a time: a
+    row per present slot, as csv.writer writes [timestamp_at(i).isoformat(), repr(value)]."""
+    present = ~np.isnan(series.values)
     start, resolution = series.start_time, series.resolution
-    fixed_offset = start.tzinfo is None or isinstance(start.tzinfo, timezone)
-    if fixed_offset and not resolution.microseconds:
-        # Whole-second steps: every stamp ends in start's fraction and UTC offset.
-        suffix = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
-        first = np.datetime64(start.replace(tzinfo=None), "us")
-        stamps = first + present * np.timedelta64(resolution, "us")
-        stamps = np.datetime_as_string(stamps, unit="s").tolist()
-        series.timestamp_at(int(present.max(initial=0)))  # OverflowError past year 9999
-    else:
-        suffix = ""
-        stamps = [series.timestamp_at(i).isoformat() for i in present.tolist()]
-    rows = map((suffix + ",").join, zip(stamps, map(repr, series.values[present].tolist())))
+    if present.any():  # OverflowError past year 9999, before the file is touched
+        series.timestamp_at(present.size - 1 - int(np.argmax(present[::-1])))
+    # Whole-second steps at a fixed offset: every stamp ends in start's fraction and offset.
+    whole_seconds = ((start.tzinfo is None or isinstance(start.tzinfo, timezone))
+                     and not resolution.microseconds)
+    suffix = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):] if whole_seconds else ""
+    first, step = np.datetime64(start.replace(tzinfo=None), "us"), np.timedelta64(resolution)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("\r\n".join([f"{CSV_TIMESTAMP_COLUMN},{CSV_VALUE_COLUMN}", *rows]) + "\r\n")
+        handle.write(f"{CSV_TIMESTAMP_COLUMN},{CSV_VALUE_COLUMN}\r\n")
+        for lo in range(0, present.size, _CSV_BLOCK):
+            slots = lo + np.flatnonzero(present[lo : lo + _CSV_BLOCK])
+            if whole_seconds:
+                stamps = np.datetime_as_string(first + slots * step, unit="s").tolist()
+            else:
+                stamps = [series.timestamp_at(i).isoformat() for i in slots.tolist()]
+            handle.write("".join([f"{stamp}{suffix},{value!r}\r\n" for stamp, value
+                                  in zip(stamps, series.values[slots].tolist())]))
 
 
 # --- gap filling ------------------------------------------------------------

@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 
 from driftcast.density import DensityEstimate, Grid, estimate_kde, shared_grid
-from driftcast.divergence import _require_same_grid, shannon_entropy
-from driftcast.errors import EmptySeries, NegativeReading, NonMonotoneTimestamps, UnparseableRow
+from driftcast.divergence import _require_same_grid
+from driftcast.errors import (
+    DriftcastError,
+    EmptySeries,
+    NegativeReading,
+    NonMonotoneTimestamps,
+    UnparseableRow,
+)
 from driftcast.ingest import (
     CSV_TIMESTAMP_COLUMN,
     CSV_VALUE_COLUMN,
@@ -38,6 +44,26 @@ def random_kde_pair(rng: np.random.Generator, n_points: int = 512):
     bw = rng.uniform(0.3, 1.5)
     grid = shared_grid(a, b, bw, n_points)
     return estimate_kde(a, bw, grid), estimate_kde(b, bw, grid)
+
+
+# Entropy refuses densities whose grid mass strays further than this from 1.
+_MASS_TOLERANCE = 1e-2
+
+
+class UnnormalizedDensity(DriftcastError):
+    """Density mass deviates too far from 1 for an entropy computation."""
+
+
+def shannon_entropy(p: DensityEstimate, base: float = 2.0) -> float:
+    """Differential entropy -integral p log p, trapezoid rule, 0 log 0 = 0."""
+    mass = p.mass()
+    if abs(mass - 1.0) > _MASS_TOLERANCE:
+        raise UnnormalizedDensity(f"density mass {mass:.4f} deviates from 1")
+    d = p.density
+    integrand = np.zeros_like(d)
+    pos = d > 0
+    integrand[pos] = -d[pos] * np.log(d[pos])
+    return float(np.trapezoid(integrand, dx=p.grid.spacing)) / math.log(base)
 
 
 def jsd_entropy(p: DensityEstimate, q: DensityEstimate) -> float:

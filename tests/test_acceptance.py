@@ -263,6 +263,15 @@ def test_criterion_06_pipeline_equivalences():
                    f"like passive, no-leakage mutation clean, {elapsed:.0f}s")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tau_one_report_equals_passive(scenario_sweep, seed):
+    # Criterion 6 checks tau 1 by its adaptation count alone. A p-value is
+    # always below 1, so every day adapts, as in passive mode, and the two
+    # reports agree in every key but the mode, the tau and the decisions.
+    tau_one = run_active(scenario_config(seed, "active", 1.0), scenario_series(seed))
+    assert _error_payload(tau_one) == _error_payload(scenario_sweep[seed]["passive"])
+
+
 def test_criterion_07_directional_table_ordering(scenario_sweep):
     started = time.perf_counter()
     chain_hits = 0

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from driftcast.density import DensityEstimate, Grid, estimate_kde
-from driftcast.divergence import (
-    jsd,
-    kl_divergence,
-    shannon_entropy,
-    sqrt_jsd,
-)
-from driftcast.errors import GridMismatch, UnnormalizedDensity
+from driftcast.divergence import jsd, kl_divergence, sqrt_jsd
+from driftcast.errors import GridMismatch
 
-from conftest import exact_gaussian, jsd_entropy, random_kde_pair
+from conftest import (
+    UnnormalizedDensity,
+    exact_gaussian,
+    jsd_entropy,
+    random_kde_pair,
+    shannon_entropy,
+)
 
 
 def _uniform_on(grid: Grid, lo: float, hi: float) -> DensityEstimate:

@@ -1,4 +1,5 @@
 """Parsing, gap filling, day segmentation, splits and the synthetic generator."""
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -131,6 +132,40 @@ class TestParse:
         again = parse_load_csv(out)
         assert np.array_equal(series.values, again.values)
         assert again.resolution == TEN_MIN
+
+
+class TestBoundedMemory:
+    """The reader and the writer hold one block of rows as Python objects at a time."""
+
+    @staticmethod
+    def _traced_peaks(tmp_path, n_days):
+        """The traced peaks of writing and then parsing an n-day 10-minute stream, and
+        the bytes of the values the parse returns."""
+        series = generate_synthetic(DailyProfile(), [], noise_sd=0.35, seed=0, n_days=n_days)
+        path = tmp_path / f"{n_days}.csv"
+        tracemalloc.start()
+        try:
+            write_load_csv(series, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            parsed = parse_load_csv(path)
+            parse_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert parsed.values.tobytes() == series.values.tobytes()
+        return write_peak, parse_peak, parsed.values.nbytes
+
+    def test_peaks_do_not_grow_with_the_stream(self, tmp_path):
+        # Holding every row of the file peaked at 6.5 MB to read 120 days, and
+        # formatting the whole file before writing it at 4.3 MB.
+        write_120, parse_120, values_120 = self._traced_peaks(tmp_path, 120)
+        assert write_120 <= 1.5e6
+        assert parse_120 <= 1.5e6
+        write_365, parse_365, values_365 = self._traced_peaks(tmp_path, 365)
+        assert write_365 <= 1.5 * write_120
+        # Beyond the values it returns, the parse keeps one 8-byte offset per reading.
+        assert parse_365 - values_365 <= 1.5 * (parse_120 - values_120)
 
 
 class TestResampleAndFill:

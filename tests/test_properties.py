@@ -1,7 +1,7 @@
 """Property tests: divergence bounds, p-value order, nested taus, exact kernel
 sums, resumed and stacked training runs, the search's score-free seeding, the
 ingest round trip, gap filling and day segmentation, and the CSV reader and
-writer against their per-row references."""
+writer against their per-row references, also at the edges of their blocks."""
 import csv
 import dataclasses
 import tempfile
@@ -18,7 +18,7 @@ from conftest import reference_parse_load_csv, reference_timestamp, reference_wr
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
 from driftcast.drift import advance, decide, init_drift_state, p_value
-from driftcast.errors import NoCompleteDay
+from driftcast.errors import NoCompleteDay, NonMonotoneTimestamps, UnparseableRow
 from driftcast.forecaster import (
     Hyperparameters,
     NormStats,
@@ -29,6 +29,7 @@ from driftcast.forecaster import (
 )
 from driftcast.hpo import SearchSpace, optimize, seeding_points
 from driftcast.ingest import (
+    _CSV_BLOCK,
     DaySample,
     DaySegmentation,
     LoadSeries,
@@ -494,3 +495,97 @@ def test_malformed_rows_raise_like_the_per_row_parser(rows):
         path = Path(tmp) / "load.csv"
         _write_rows(rows, path)
         _assert_parses_like_the_reference(path)
+
+
+# --- the reader's row blocks and the writer's slot blocks, at their edges -------
+# Hypothesis's files have a few dozen rows, so they never reach a block boundary.
+
+BLOCK = _CSV_BLOCK
+TEN_MIN = timedelta(minutes=10)
+UTC_PLUS_2, UTC_MINUS_3 = timezone(timedelta(hours=2)), timezone(timedelta(hours=-3))
+UTC_PLUS_530 = timezone(timedelta(hours=5, minutes=30))
+
+
+def _regular_rows(n, zone=None):
+    """Rows of a regular 10-minute stream, [isoformat, repr(value)], distinct values."""
+    start = datetime(2024, 1, 1, tzinfo=zone)
+    return [[(start + k * TEN_MIN).isoformat(), repr(0.5 + k / 8)] for k in range(n)]
+
+
+def _write_checked_csv(tmp_path, rows):
+    path = tmp_path / "load.csv"
+    _write_rows([["timestamp", "consumption_kwh"], *rows], path)
+    _assert_parses_like_the_reference(path)
+    return path
+
+
+def _assert_writes_like_the_reference(tmp_path, series):
+    write_load_csv(series, tmp_path / "new.csv")
+    reference_write_load_csv(series, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _assert_parses_like_the_reference(tmp_path / "new.csv")
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_a_block_and_a_row_either_side(tmp_path, n):
+    series = LoadSeries(start_time=datetime(2024, 1, 1, 0, 0, 0, 250_000, UTC_PLUS_2),
+                        resolution=TEN_MIN, values=0.5 + np.arange(n) / 8)
+    _assert_writes_like_the_reference(tmp_path, series)
+
+
+@pytest.mark.parametrize("first_missing", [BLOCK - 2, BLOCK])
+def test_a_gap_across_a_block_boundary(tmp_path, first_missing):
+    # Three missing slots: from BLOCK - 2 they cross the writer's first slot block;
+    # from BLOCK they fall between the reader's first two row blocks.
+    values = 0.5 + np.arange(BLOCK + 8) / 8
+    values[first_missing : first_missing + 3] = np.nan
+    series = LoadSeries(start_time=datetime(2024, 1, 1), resolution=TEN_MIN, values=values)
+    _assert_writes_like_the_reference(tmp_path, series)
+    assert parse_load_csv(tmp_path / "new.csv").values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("blank_rows", [1, BLOCK])
+@pytest.mark.parametrize("at", [BLOCK - 1, BLOCK])
+def test_blank_rows_at_a_block_boundary(tmp_path, blank_rows, at):
+    rows = _regular_rows(BLOCK + 5)
+    rows[at:at] = [[" ", "\t"]] * blank_rows  # BLOCK of them fill a whole block
+    _write_checked_csv(tmp_path, rows)
+
+
+@pytest.mark.parametrize("cells", [("2024-01-15T05:20:00", "one"),
+                                   ("2024-01-15T05:20:00+02:00", "1.0")])
+def test_a_bad_row_one_past_a_block_names_its_line(tmp_path, cells):
+    # A bad value, then an aware stamp in a file whose first block is naive.
+    rows = _regular_rows(BLOCK + 5)
+    rows.insert(3, [])
+    rows[BLOCK] = list(cells)
+    path = _write_checked_csv(tmp_path, rows)
+    with pytest.raises(UnparseableRow) as err:
+        parse_load_csv(path)
+    assert err.value.line_number == BLOCK + 2
+
+
+def test_an_earliest_row_in_a_later_block_sets_the_start(tmp_path):
+    rows = _regular_rows(BLOCK + 5, UTC_PLUS_2)
+    earliest = datetime.fromisoformat(rows.pop(0)[0]).astimezone(UTC_MINUS_3)
+    rows.insert(BLOCK + 2, [earliest.isoformat(), "9.0"])
+    path = _write_checked_csv(tmp_path, rows)
+    assert parse_load_csv(path).start_time.utcoffset() == timedelta(hours=-3)
+
+
+@pytest.mark.parametrize("kind", ["repeat", "misaligned"])
+def test_messages_give_a_later_blocks_stamp_at_its_own_offset(tmp_path, kind):
+    # A `Z` file with the first row of its second block at +05:30: the same instant
+    # as the row before it, or one second past its own slot.
+    rows = [[stamp.replace("+00:00", "Z"), value]
+            for stamp, value in _regular_rows(BLOCK + 5, timezone.utc)]
+    slot = BLOCK - 1 if kind == "repeat" else BLOCK
+    stamp = datetime(2024, 1, 1, tzinfo=timezone.utc) + slot * TEN_MIN
+    stamp += timedelta(seconds=kind == "misaligned")
+    rows[BLOCK][0] = stamp.astimezone(UTC_PLUS_530).isoformat()
+    path = _write_checked_csv(tmp_path, rows)
+    with pytest.raises(NonMonotoneTimestamps if kind == "repeat" else UnparseableRow) as err:
+        parse_load_csv(path)
+    assert f"timestamp {stamp.astimezone(UTC_PLUS_530).isoformat()} " in str(err.value)
+    if kind == "misaligned":
+        assert err.value.line_number == BLOCK + 2

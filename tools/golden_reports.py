@@ -18,14 +18,21 @@ rates whose members stop early at different epochs (patience 1), a budget
 above `n_init` so surrogate trials follow the seeding batch, and a seeding
 batch that mixes 4 and 8 units; and passive runs at `input_len` 30 (with
 `retune_units_full_retrain`) and 138, the largest a 10-minute day admits, so
-that an adaptation trains on one window per day. Capture a golden directory
-from the parent tree (point PYTHONPATH at its `src`), then compare with the
-change's tree.
+that an adaptation trains on one window per day.
+
+The ingest cases follow: for each stream and seed, `ingest-<stream>-s<seed>.csv`
+holds the bytes `write_load_csv` writes, and `ingest-<stream>-s<seed>-parsed.json`
+the series `parse_load_csv` reads back from that file (its start time with
+offset, its resolution and its values' bytes in hex). Capture a golden
+directory from the parent tree (point PYTHONPATH at its `src`), then compare
+with the change's tree.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import tempfile
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -36,7 +43,13 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from driftcast.evaluation import EvaluationReport
-from driftcast.ingest import DailyProfile, DriftEvent, generate_synthetic
+from driftcast.ingest import (
+    DailyProfile,
+    DriftEvent,
+    generate_synthetic,
+    parse_load_csv,
+    write_load_csv,
+)
 from driftcast.pipeline import RunConfig, run
 
 PROFILE = DailyProfile(base=10.0, peaks=((8.0, 2.0, 3.0), (19.0, 3.0, 5.0)))
@@ -69,13 +82,23 @@ POLICIES = {
 }
 
 
+def streams(seed):
+    """Each stream of the matrix at one seed, by name: STREAMS, then "d26q15", d26's
+    events at a 15-minute resolution."""
+    series = {stream: generate_synthetic(PROFILE, events, noise_sd=0.35, seed=seed,
+                                         n_days=days)
+              for stream, (days, events, _) in STREAMS.items()}
+    series["d26q15"] = generate_synthetic(PROFILE, STREAMS["d26"][1], noise_sd=0.35,
+                                          seed=seed, n_days=26,
+                                          resolution=timedelta(minutes=15))
+    return series
+
+
 def cases():
     """(name, config, stream) for every run of the matrix."""
     for seed in SEEDS:
-        series = {}
-        for stream, (days, events, base) in STREAMS.items():
-            series[stream] = generate_synthetic(PROFILE, events, noise_sd=0.35,
-                                                seed=seed, n_days=days)
+        series = streams(seed)
+        for stream, (_, _, base) in STREAMS.items():
             for policy, fields in POLICIES.items():
                 yield f"{stream}-{policy}-s{seed}", replace(base, **fields), series[stream]
         d26 = STREAMS["d26"][2]
@@ -100,10 +123,26 @@ def cases():
                                                      **POLICIES["passive"]), series["d26"])
         yield (f"d26-len138-passive-s{seed}", replace(d26, input_len=138, **POLICIES["passive"]),
                series["d26"])
-        quarter = generate_synthetic(PROFILE, STREAMS["d26"][1], noise_sd=0.35, seed=seed,
-                                     n_days=26, resolution=timedelta(minutes=15))
         for policy in ("baseline", "passive", "active0.15"):
-            yield f"d26q15-{policy}-s{seed}", replace(d26, **POLICIES[policy]), quarter
+            yield (f"d26q15-{policy}-s{seed}", replace(d26, **POLICIES[policy]),
+                   series["d26q15"])
+
+
+def ingest_cases():
+    """(file name, bytes) for every stream and seed: the CSV `write_load_csv` writes,
+    then the series `parse_load_csv` reads back from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "load.csv"
+        for seed in SEEDS:
+            for stream, series in streams(seed).items():
+                write_load_csv(series, path)
+                yield f"ingest-{stream}-s{seed}.csv", path.read_bytes()
+                parsed = parse_load_csv(path)
+                yield f"ingest-{stream}-s{seed}-parsed.json", json.dumps({
+                    "start_time": parsed.start_time.isoformat(),
+                    "resolution": str(parsed.resolution),
+                    "values": parsed.values.tobytes().hex(),
+                }, indent=2).encode()
 
 
 def main(argv=None) -> int:
@@ -114,19 +153,24 @@ def main(argv=None) -> int:
     if args.action == "capture":
         args.dir.mkdir(parents=True, exist_ok=True)
     differing = []
+
+    def check(name: str, data: bytes) -> None:
+        path = args.dir / name
+        if args.action == "capture":
+            path.write_bytes(data)
+        elif not path.is_file():
+            differing.append(f"{name}: no golden file")
+        elif path.read_bytes() != data:
+            differing.append(f"{name}: differs")
+        print(f"{name}: {'written' if args.action == 'capture' else 'checked'}", flush=True)
+
     for name, config, series in cases():
         text = run(config, series).to_json()
-        path = args.dir / f"{name}.json"
-        if args.action == "capture":
-            path.write_text(text, encoding="utf-8")
-        elif not path.is_file():
-            differing.append(f"{name}: no golden report")
-        elif path.read_text(encoding="utf-8") != text:
-            differing.append(f"{name}: report differs")
-        elif EvaluationReport.from_json(text).to_json() != text:
-            differing.append(f"{name}: report does not round-trip")
-        print(f"{name}: {'written' if args.action == 'capture' else 'checked'}",
-              flush=True)
+        check(f"{name}.json", text.encode())
+        if EvaluationReport.from_json(text).to_json() != text:
+            differing.append(f"{name}.json: report does not round-trip")
+    for name, data in ingest_cases():
+        check(name, data)
     for line in differing:
         print(f"DIFFERS {line}", file=sys.stderr)
     if args.action == "compare":
