@@ -22,13 +22,11 @@ from .drift import (
     p_value,
 )
 from .evaluation import (
-    CostLedger,
     DailyError,
     EvaluationReport,
     daily_error,
     improvement,
     mape,
-    record_cost,
     rmse,
     trade_off_score,
 )

@@ -85,7 +85,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_synth(args) -> int:
     try:
         spec = json.loads(Path(args.profile).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"profile config is not valid JSON: {exc}") from None
     try:
         profile = DailyProfile(
@@ -115,7 +115,7 @@ def _cmd_run(args) -> int:
     if args.config:
         try:
             config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         if not isinstance(config_data, dict):
             raise ConfigError(f"config must be a JSON object, got {config_data!r}")

@@ -120,7 +120,7 @@ class WrongCount(DriftcastError):
 
 
 class NegativeDuration(DriftcastError):
-    """Cost ledger durations must be non-negative."""
+    """A cost entry's duration must be non-negative."""
 
 
 class ZeroBaseline(DriftcastError):

@@ -1,4 +1,4 @@
-"""Error metrics, daily aggregation, cost ledger and trade-off score.
+"""Error metrics, daily aggregation, cost entries and trade-off score.
 
 MAPE and RMSE are computed per hourly forecast (the readings of the hour),
 then averaged over the 24 hours of a day; per-run means and standard
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -91,7 +91,7 @@ def daily_error(day_index: date, hourly_pairs: Sequence[tuple],
                       rmse=float(np.mean(rmses)))
 
 
-# --- cost ledger ------------------------------------------------------------
+# --- costs --------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CostEntry:
@@ -104,24 +104,6 @@ class CostEntry:
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if self.duration_seconds < 0:
             raise NegativeDuration(f"duration {self.duration_seconds} is negative")
-
-
-@dataclass(frozen=True)
-class CostLedger:
-    price_rate: float = DEFAULT_PRICE_RATE  # currency per minute
-    entries: tuple[CostEntry, ...] = ()
-
-    @property
-    def total(self) -> float:
-        return sum((entry.duration_seconds / 60.0) * self.price_rate
-                   for entry in self.entries)
-
-
-def record_cost(ledger: CostLedger, day: date, kind: str, duration: float,
-                ) -> CostLedger:
-    """Append one priced event; durations are seconds, never negative."""
-    entry = CostEntry(day_index=day, kind=kind, duration_seconds=duration)
-    return replace(ledger, entries=ledger.entries + (entry,))
 
 
 # --- comparison metrics -------------------------------------------------------
@@ -205,7 +187,8 @@ class EvaluationReport:
     std_rmse: float
     drift_decisions: tuple[DriftDecision, ...]
     adaptation_count: int
-    ledger: CostLedger
+    price_rate: float  # currency per minute
+    cost_entries: tuple[CostEntry, ...]
     hpo_events: tuple[HpoEventRecord, ...] = ()
 
     @property
@@ -214,13 +197,11 @@ class EvaluationReport:
 
     @property
     def total_cost(self) -> float:
-        return self.ledger.total
+        return sum((entry.duration_seconds / 60.0) * self.price_rate
+                   for entry in self.cost_entries)
 
     def to_dict(self) -> dict:
-        data = _plain(self)
-        ledger = data.pop("ledger")
-        return {**data, "schema_version": REPORT_SCHEMA_VERSION,
-                "price_rate": ledger["price_rate"], "cost_entries": ledger["entries"],
+        return {**_plain(self), "schema_version": REPORT_SCHEMA_VERSION,
                 "total_cost": self.total_cost}
 
     def to_json(self) -> str:
@@ -230,8 +211,7 @@ class EvaluationReport:
     def from_dict(cls, data: dict) -> "EvaluationReport":
         if data.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {data.get('schema_version')}")
-        ledger = {"price_rate": data["price_rate"], "entries": data["cost_entries"]}
-        return _record(cls, {**data, "ledger": ledger})
+        return _record(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":

@@ -10,7 +10,6 @@ the space is frozen to the incumbent value.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,7 +69,7 @@ class SearchSpace:
 class TrialRecord:
     hyperparameters: Hyperparameters
     score: float
-    duration: float  # seconds
+    duration: float = 0.0  # unread; perfbench/probes.py still passes it
 
     def __post_init__(self):
         if not math.isfinite(self.score):
@@ -157,7 +156,7 @@ def seeding_points(space: SearchSpace, budget: int, seed: int,
     history: list[TrialRecord] = []
     for _ in range(min(budget, n_init)):
         try:
-            history.append(TrialRecord(propose(history, space, seed, n_init), 0.0, 0.0))
+            history.append(TrialRecord(propose(history, space, seed, n_init), 0.0))
         except ExhaustedSpace:  # an axis that repeats a value has fewer distinct points
             break
     return [t.hyperparameters for t in history]
@@ -165,7 +164,6 @@ def seeding_points(space: SearchSpace, budget: int, seed: int,
 
 def optimize(objective: Callable[[Hyperparameters], float], space: SearchSpace,
              budget: int, seed: int, n_init: int = DEFAULT_N_INIT,
-             timer: Callable[[], float] = time.perf_counter,
              ) -> tuple[Hyperparameters, list[TrialRecord]]:
     """Propose/evaluate/update loop; returns the best trial and the history."""
     if budget < 1:
@@ -176,9 +174,6 @@ def optimize(objective: Callable[[Hyperparameters], float], space: SearchSpace,
             candidate = propose(history, space, seed, n_init)
         except ExhaustedSpace:
             break
-        started = timer()
-        score = float(objective(candidate))
-        history.append(TrialRecord(hyperparameters=candidate, score=score,
-                                   duration=max(timer() - started, 0.0)))
+        history.append(TrialRecord(candidate, float(objective(candidate))))
     best = min(history, key=lambda t: t.score)
     return best.hyperparameters, history

@@ -13,7 +13,10 @@ every DaySample fixed-length -- the density grid requires that.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import shutil
+import tempfile
 from array import array
 from collections import Counter
 from collections.abc import Sequence
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import (
     EmptySeries,
     GapTooLarge,
+    InputError,
     InvalidEvent,
     NegativeReading,
     NoCompleteDay,
@@ -144,13 +148,25 @@ def _read_columns(reader, ts_idx: int, val_idx: int, n_columns: int):
     return first, np.frombuffer(micros, dtype=np.int64), np.frombuffer(values)
 
 
-def _stamp_at(path, index: int, ts_idx: int) -> tuple[int, datetime]:
+def _seekable(path):
+    """`path` open for reading bytes, a pipe copied once into a temporary file to seek."""
+    raw = open(path, "rb")
+    if raw.seekable():
+        return raw
+    with raw:
+        copy = tempfile.TemporaryFile()
+        shutil.copyfileobj(raw, copy)
+    copy.seek(0)
+    return copy
+
+
+def _stamp_at(handle, index: int, ts_idx: int) -> tuple[int, datetime]:
     """The file line and timestamp of the index-th row with text, read again from the
-    file: the parse keeps neither."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = ((line, row) for line, row in enumerate(csv.reader(handle), start=1)
-                if line > 1 and "".join(row).strip())
-        line, row = next(islice(rows, index, None))
+    start of `handle`: the parse keeps neither."""
+    handle.seek(0)
+    rows = ((line, row) for line, row in enumerate(csv.reader(handle), start=1)
+            if line > 1 and "".join(row).strip())
+    line, row = next(islice(rows, index, None))
     return line, _parse_timestamp(row[ts_idx])
 
 
@@ -193,54 +209,53 @@ def parse_load_csv(path,
     readings; slots with no reading are left as NaN for resample_and_fill.
     """
     ts_col, val_col = schema
-    with open(path, newline="", encoding="utf-8") as handle:
+    with io.TextIOWrapper(_seekable(path), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySeries(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        try:
-            ts_idx = header.index(ts_col)
-            val_idx = header.index(val_col)
-        except ValueError:
-            raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
-                                    f"got {header}") from None
-        first, micros, values = _read_columns(reader, ts_idx, val_idx, len(header))
-    if not micros.size:
-        raise EmptySeries(f"{path}: no data rows")
+            if (header := next(reader, None)) is None:
+                raise EmptySeries(f"{path}: file is empty")
+            header = [h.strip() for h in header]
+            if ts_col not in header or val_col not in header:
+                raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
+                                        f"got {header}")
+            ts_idx, val_idx = header.index(ts_col), header.index(val_col)
+            first, micros, values = _read_columns(reader, ts_idx, val_idx, len(header))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        if not micros.size:
+            raise EmptySeries(f"{path}: no data rows")
 
-    gaps = _gap_counts(micros) or Counter([DEFAULT_RESOLUTION // _MICROSECOND])  # one reading
-    order = range(micros.size)  # the file index of each reading in time order
-    if min(gaps) <= 0:  # sort stably, as list.sort; aware stamps compare in UTC
-        order = np.argsort(micros, kind="stable")
-        micros, values = micros[order] - micros[order[0]], values[order]
-        repeats = np.flatnonzero(np.diff(micros) <= 0)
-        if repeats.size:
-            repeated = _stamp_at(path, order[repeats[0] + 1], ts_idx)[1]
-            raise NonMonotoneTimestamps(f"timestamp {repeated.isoformat()} repeats")
-        gaps = _gap_counts(micros)
-    start = _stamp_at(path, order[0], ts_idx)[1] if order[0] else first  # with its offset
+        gaps = _gap_counts(micros) or Counter([DEFAULT_RESOLUTION // _MICROSECOND])  # one reading
+        order = range(micros.size)  # the file index of each reading in time order
+        if min(gaps) <= 0:  # sort stably, as list.sort; aware stamps compare in UTC
+            order = np.argsort(micros, kind="stable")
+            micros, values = micros[order] - micros[order[0]], values[order]
+            repeats = np.flatnonzero(np.diff(micros) <= 0)
+            if repeats.size:
+                repeated = _stamp_at(handle, order[repeats[0] + 1], ts_idx)[1]
+                raise NonMonotoneTimestamps(f"timestamp {repeated.isoformat()} repeats")
+            gaps = _gap_counts(micros)
+        start = _stamp_at(handle, order[0], ts_idx)[1] if order[0] else first  # with its offset
 
-    # The most frequent gap; max keeps the first of a tie, so sorted gives the smallest.
-    resolution = timedelta(microseconds=max(sorted(gaps), key=gaps.__getitem__))
-    gapless = True
-    for lo in range(0, micros.size, _CSV_BLOCK):
-        # total_seconds() / step, exactly while the span is under 2**53 us (285 years).
-        exact = micros[lo : lo + _CSV_BLOCK] / 1e6 / resolution.total_seconds()
-        slots = np.rint(exact)
-        misaligned = np.flatnonzero(np.abs(exact - slots) > 1e-6)
-        if misaligned.size:
-            line, stamp = _stamp_at(path, order[lo + misaligned[0]], ts_idx)
-            raise UnparseableRow(line, f"timestamp {stamp.isoformat()} is not aligned with "
-                                       f"the inferred {resolution} resolution")
-        gapless = gapless and np.array_equal(slots, np.arange(lo, lo + slots.size))
-        micros[lo : lo + _CSV_BLOCK] = slots  # each reading's slot, from here on
-    if not gapless:
-        filled = np.full(int(micros[-1]) + 1, np.nan)
-        filled[micros] = values
-        values = filled
-    return LoadSeries(start_time=start, resolution=resolution, values=values)
+        # The most frequent gap; max keeps the first of a tie, so sorted gives the smallest.
+        resolution = timedelta(microseconds=max(sorted(gaps), key=gaps.__getitem__))
+        gapless = True
+        for lo in range(0, micros.size, _CSV_BLOCK):
+            # total_seconds() / step, exactly while the span is under 2**53 us (285 years).
+            exact = micros[lo : lo + _CSV_BLOCK] / 1e6 / resolution.total_seconds()
+            slots = np.rint(exact)
+            misaligned = np.flatnonzero(np.abs(exact - slots) > 1e-6)
+            if misaligned.size:
+                line, stamp = _stamp_at(handle, order[lo + misaligned[0]], ts_idx)
+                raise UnparseableRow(line, f"timestamp {stamp.isoformat()} is not aligned with "
+                                           f"the inferred {resolution} resolution")
+            gapless = gapless and np.array_equal(slots, np.arange(lo, lo + slots.size))
+            micros[lo : lo + _CSV_BLOCK] = slots  # each reading's slot, from here on
+        if not gapless:
+            filled = np.full(int(micros[-1]) + 1, np.nan)
+            filled[micros] = values
+            values = filled
+        return LoadSeries(start_time=start, resolution=resolution, values=values)
 
 
 def write_load_csv(series: LoadSeries, path) -> None:

@@ -28,7 +28,7 @@ from .errors import ConfigError, MismatchedRuns, NonFiniteInput, ZeroActual
 from .evaluation import (
     DEFAULT_PRICE_RATE,
     EPSILON_ZERO,
-    CostLedger,
+    CostEntry,
     DailyError,
     EvaluationReport,
     HpoEventRecord,
@@ -36,7 +36,6 @@ from .evaluation import (
     improvement,
     mape as mape_metric,
     near_zero_actuals,
-    record_cost,
     series_digest,
     summarize_daily,
     trade_off_score,
@@ -259,28 +258,15 @@ def _score_day(config: RunConfig, model: ForecastModel, context: np.ndarray,
     return daily_error(day.day, pairs, exclude_zero_actuals=config.exclude_zero_actuals)
 
 
-# --- cost clock and model updates ----------------------------------------------
+# --- cost and model updates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CostClock:
-    """The one source of phase and trial durations.
-
-    With deterministic timing every trial reads 0 s and a phase is charged
-    coefficient x epochs x windows x fits, so reports carry no wall time;
-    otherwise both are `perf_counter` seconds.
-    """
-
-    deterministic: bool
-    coefficient: float
-
-    def now(self) -> float:
-        return 0.0 if self.deterministic else time.perf_counter()
-
-    def charge(self, started: float, epochs: int, windows: int, fits: int = 1) -> float:
-        if self.deterministic:
-            return self.coefficient * epochs * max(windows, 1) * fits
-        return time.perf_counter() - started
+def _charge(config: RunConfig, started: float, epochs: int, windows: int, fits: int = 1):
+    """Seconds since perf_counter() read `started`, or with deterministic timing
+    coefficient x epochs x windows x fits, so that reports carry no wall time."""
+    if config.deterministic_timing:
+        return config.timing_coefficient * epochs * max(windows, 1) * fits
+    return time.perf_counter() - started
 
 
 # Seeding trials stack only up to this width: from 56 units on a stack of 5
@@ -288,7 +274,7 @@ class _CostClock:
 _STACK_MAX_UNITS = 48
 
 
-def _search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit,
+def _search(config: RunConfig, space: SearchSpace, budget: int, seed: int, fit,
             epochs: int, windows: int):
     """`optimize` whose first call for a seeding point of at most _STACK_MAX_UNITS
     units has `fit` train its same-width seeding group as one stack, giving each
@@ -298,7 +284,7 @@ def _search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit,
     Returns the best hyperparameters, their score, their result and the
     search's duration, charged as `epochs` over `windows` windows per trial.
     """
-    started = clock.now()
+    started = time.perf_counter()
     seeding, scores, best = seeding_points(space, budget, seed), {}, {}
 
     def objective(hp: Hyperparameters) -> float:
@@ -312,13 +298,13 @@ def _search(space: SearchSpace, budget: int, seed: int, clock: _CostClock, fit,
                     best.update(key=key, result=result)
         return scores[hp]
 
-    best_hp, trials = optimize(objective, space, budget=budget, seed=seed, timer=clock.now)
+    best_hp, trials = optimize(objective, space, budget=budget, seed=seed)
     return (best_hp, min(t.score for t in trials), best["result"],
-            clock.charge(started, epochs, windows, len(trials)))
+            _charge(config, started, epochs, windows, len(trials)))
 
 
-def _fresh_search(config: RunConfig, prep: PreparedRun, clock: _CostClock,
-                  windows: SupervisedWindows, budget: int, seed: int):
+def _fresh_search(config: RunConfig, prep: PreparedRun, windows: SupervisedWindows,
+                  budget: int, seed: int):
     """Full-space `_search` in which every trial trains a fresh network on
     `windows`; its result is the winning model."""
     space = SearchSpace(learning_rates=config.learning_rates,
@@ -332,12 +318,11 @@ def _fresh_search(config: RunConfig, prep: PreparedRun, clock: _CostClock,
                         batch_size=config.batch_size, patience=config.patience)
         return [(_validation_mape(prep.norm, m.weights, prep.val_windows), m) for m in trained]
 
-    return _search(space, budget, seed, clock, fit, config.epochs_initial, len(windows))
+    return _search(config, space, budget, seed, fit, config.epochs_initial, len(windows))
 
 
-def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
-                  model: ForecastModel, day: DaySample,
-                  seen_test_days: list[DaySample], event: int,
+def _update_model(config: RunConfig, prep: PreparedRun, model: ForecastModel,
+                  day: DaySample, seen_test_days: list[DaySample], event: int,
                   ) -> tuple[ForecastModel, float, float, Hyperparameters, float]:
     """One adaptation event; returns (model, hpo s, fit s, chosen hp, loss).
 
@@ -353,8 +338,7 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
         history = prep.pretest_days + seen_test_days + [day]
         windows = prep.windows(np.concatenate([d.readings for d in history]), config.input_len)
         tuned, loss, retrained, duration = _fresh_search(
-            config, prep, clock, windows, config.hpo_adapt_budget,
-            _derived_seed(config.seed, 2, event))
+            config, prep, windows, config.hpo_adapt_budget, _derived_seed(config.seed, 2, event))
         return replace(retrained, version=model.version + 1), 0.0, duration, tuned, loss
 
     day_windows = prep.windows(day.readings, config.input_len)
@@ -371,13 +355,13 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
                 for probe, run in zip(probes, runs)]
 
     tuned, loss, best_run, hpo_duration = _search(
-        space, config.hpo_adapt_budget, _derived_seed(config.seed, 1, event), clock, fit,
+        config, space, config.hpo_adapt_budget, _derived_seed(config.seed, 1, event), fit,
         config.hpo_fit_epochs, len(day_windows))
-    started = clock.now()
+    started = time.perf_counter()
     updated = incremental_update(model, day_windows, tuned,
                                  epochs=config.epochs_incremental,
                                  batch_size=config.batch_size, resume=best_run)
-    fit_duration = clock.charge(started, config.epochs_incremental, len(day_windows))
+    fit_duration = _charge(config, started, config.epochs_incremental, len(day_windows))
     return updated, hpo_duration, fit_duration, tuned, loss
 
 
@@ -387,12 +371,9 @@ def _update_model(config: RunConfig, prep: PreparedRun, clock: _CostClock,
 def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     """Score every test day, then adapt as the mode's policy says."""
     prep = prepare_run(config, series)
-    clock = _CostClock(config.deterministic_timing, config.timing_coefficient)
     best_hp, loss, model, duration = _fresh_search(
-        config, prep, clock, prep.train_windows, config.hpo_initial_budget,
-        _derived_seed(config.seed, 0))
-    ledger = record_cost(CostLedger(price_rate=config.price_rate),
-                         prep.pretest_days[-1].day, "initial_training", duration)
+        config, prep, prep.train_windows, config.hpo_initial_budget, _derived_seed(config.seed, 0))
+    costs = [CostEntry(prep.pretest_days[-1].day, "initial_training", duration)]
     hpo_events = [HpoEventRecord(event=0, day_index=None, loss=loss, **asdict(best_hp))]
 
     active = config.mode == "active"
@@ -410,9 +391,9 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
         if config.mode == "passive" or (active and decisions[-1].is_drift):
             event = len(hpo_events)
             model, hpo_duration, fit_duration, tuned, loss = _update_model(
-                config, prep, clock, model, day, seen, event)
-            ledger = record_cost(ledger, day.day, "hpo", hpo_duration)
-            ledger = record_cost(ledger, day.day, "adaptation", fit_duration)
+                config, prep, model, day, seen, event)
+            costs += [CostEntry(day.day, "hpo", hpo_duration),
+                      CostEntry(day.day, "adaptation", fit_duration)]
             hpo_events.append(HpoEventRecord(event=event, day_index=day.day, loss=loss,
                                              **asdict(tuned)))
         if active:
@@ -427,7 +408,7 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
         mean_mape=stats["mean_mape"], std_mape=stats["std_mape"],
         mean_rmse=stats["mean_rmse"], std_rmse=stats["std_rmse"],
         drift_decisions=tuple(decisions), adaptation_count=len(hpo_events) - 1,
-        ledger=ledger, hpo_events=tuple(hpo_events))
+        price_rate=config.price_rate, cost_entries=tuple(costs), hpo_events=tuple(hpo_events))
 
 
 def run_baseline(config: RunConfig, series: LoadSeries) -> EvaluationReport:

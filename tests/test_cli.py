@@ -186,7 +186,7 @@ class TestRun:
         assert code == EXIT_OK
         windows = len(prepare_run(RunConfig.from_dict(RUN_CONFIG),
                                   parse_load_csv(series)).train_windows)
-        charged = EvaluationReport.from_json(out.read_text()).ledger.entries[0].duration_seconds
+        charged = EvaluationReport.from_json(out.read_text()).cost_entries[0].duration_seconds
         # Deterministic timing charges 1e-3 s per epoch and window of the one trial.
         assert (charged == 1e-3 * RUN_CONFIG["epochs_initial"] * windows) == value
 
@@ -330,6 +330,30 @@ class TestRun:
                      *(["--tau", "1"] if mode == "active" else [])])
         assert code == EXIT_CONFIG
         assert searched == []
+
+    @pytest.mark.parametrize("at", [5, 20_000])  # in the header, or past the first 8 KB
+    def test_csv_that_is_not_utf8_is_input_error(self, workspace, capsys, at):
+        data = _synth(workspace).read_bytes()
+        assert len(data) > 20_000
+        bad = workspace / "latin1.csv"
+        bad.write_bytes(data[:at] + b"\xe9" + data[at:])
+        out = workspace / "out"
+        assert main(["ingest", str(bad), "--out", str(out)]) == EXIT_INPUT
+        assert main(["run", "--mode", "baseline", "--config", str(workspace / "config.json"),
+                     "--input", str(bad), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.count("not UTF-8 text") == 2
+        assert not out.exists()
+
+    def test_json_that_is_not_utf8_is_config_error(self, workspace):
+        series = _synth(workspace)
+        bad = workspace / "latin1.json"
+        bad.write_bytes(b'{"seed": 1, "note": "caf\xe9"}')
+        out = workspace / "out"
+        assert main(["run", "--mode", "baseline", "--config", str(bad), "--input", str(series),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert main(["synth", "--profile", str(bad), "--seed", "1", "--days", "3",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [[], None, "x"])
     def test_config_that_is_not_an_object_is_config_error(self, workspace, monkeypatch, config):

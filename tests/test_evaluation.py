@@ -1,4 +1,4 @@
-"""Metrics, ledger arithmetic and report serialization."""
+"""Metrics, cost arithmetic and report serialization."""
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,14 +14,14 @@ from driftcast.errors import (
     ZeroCost,
 )
 from driftcast.evaluation import (
-    CostLedger,
+    DEFAULT_PRICE_RATE,
+    CostEntry,
     DailyError,
     EvaluationReport,
     HpoEventRecord,
     daily_error,
     improvement,
     mape,
-    record_cost,
     rmse,
     series_digest,
     summarize_daily,
@@ -109,35 +109,42 @@ class TestDailyError:
         assert entry.rmse == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCostLedger:
+def _priced(entries=(), price_rate=DEFAULT_PRICE_RATE) -> EvaluationReport:
+    """A report that carries only the given cost entries."""
+    return EvaluationReport(mode="baseline", tau=None, series_sha256="", seed=0, split={},
+                            daily_errors=(), mean_mape=0.0, std_mape=0.0, mean_rmse=0.0,
+                            std_rmse=0.0, drift_decisions=(), adaptation_count=0,
+                            price_rate=price_rate, cost_entries=tuple(entries))
+
+
+class TestCosts:
     def test_passive_period_daily_mean_matches_published_rate(self):
         # 58 equal adaptation entries summing to 15.93 at the default rate:
         # the per-day mean must come out at 0.27.
-        ledger = CostLedger(price_rate=0.027)
         total_minutes = 15.93 / 0.027
         per_day_seconds = total_minutes * 60 / 58
-        for i in range(58):
-            ledger = record_cost(ledger, DAY + timedelta(days=i), "adaptation",
-                                 per_day_seconds)
-        assert ledger.total == pytest.approx(15.93, abs=1e-9)
-        assert ledger.total / 58 == pytest.approx(0.27, abs=0.005)
+        report = _priced([CostEntry(DAY + timedelta(days=i), "adaptation", per_day_seconds)
+                          for i in range(58)], price_rate=0.027)
+        assert report.total_cost == pytest.approx(15.93, abs=1e-9)
+        assert report.total_cost / 58 == pytest.approx(0.27, abs=0.005)
 
-    def test_empty_ledger_is_free(self):
-        assert CostLedger().total == 0.0
+    def test_no_entries_are_free(self):
+        assert _priced().total_cost == 0.0
 
     def test_totals_are_additive(self):
-        first = record_cost(CostLedger(price_rate=0.05), DAY, "adaptation", 120.0)
-        second = record_cost(CostLedger(price_rate=0.05), DAY, "hpo", 60.0)
-        merged = CostLedger(price_rate=0.05, entries=first.entries + second.entries)
-        assert merged.total == pytest.approx(first.total + second.total, rel=1e-12)
+        first = _priced([CostEntry(DAY, "adaptation", 120.0)], price_rate=0.05)
+        second = _priced([CostEntry(DAY, "hpo", 60.0)], price_rate=0.05)
+        merged = _priced(first.cost_entries + second.cost_entries, price_rate=0.05)
+        assert merged.total_cost == pytest.approx(first.total_cost + second.total_cost,
+                                                  rel=1e-12)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(NegativeDuration):
-            record_cost(CostLedger(), DAY, "adaptation", -1.0)
+            CostEntry(DAY, "adaptation", -1.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            record_cost(CostLedger(), DAY, "tea_break", 60.0)
+            CostEntry(DAY, "tea_break", 60.0)
 
 
 class TestImprovementAndTradeOff:
@@ -168,9 +175,9 @@ class TestReport:
         errors = tuple(DailyError(DAY + timedelta(days=i), mape=5.0 + i, rmse=0.5)
                        for i in range(3))
         stats = summarize_daily(errors)
-        ledger = record_cost(CostLedger(price_rate=0.027), DAY, "initial_training", 90.0)
-        ledger = record_cost(ledger, DAY + timedelta(days=1), "hpo", 3.0)
-        ledger = record_cost(ledger, DAY + timedelta(days=1), "adaptation", 6.0)
+        costs = (CostEntry(DAY, "initial_training", 90.0),
+                 CostEntry(DAY + timedelta(days=1), "hpo", 3.0),
+                 CostEntry(DAY + timedelta(days=1), "adaptation", 6.0))
         return EvaluationReport(
             mode="active", tau=0.15, series_sha256="abc123", seed=7,
             split={"train_days": 10, "validation_days": 2, "test_days": 3},
@@ -179,7 +186,7 @@ class TestReport:
                                                 p_value=0.5 - 0.2 * i, is_drift=i == 2,
                                                 tau=0.15)
                                   for i, e in enumerate(errors)),
-            adaptation_count=1, ledger=ledger,
+            adaptation_count=1, price_rate=0.027, cost_entries=costs,
             hpo_events=(HpoEventRecord(event=0, day_index=None, learning_rate=0.01,
                                        dropout_rate=0.0, n_units=32, loss=4.2),
                         HpoEventRecord(event=1, day_index=DAY + timedelta(days=1),

@@ -1,4 +1,5 @@
 """Parsing, gap filling, day segmentation, splits and the synthetic generator."""
+import os
 import tracemalloc
 from datetime import datetime, timedelta
 
@@ -117,6 +118,32 @@ class TestParse:
             parse_load_csv(path)
         assert err.value.line_number == 8
         assert str(err.value).startswith("line 8: timestamp 2024-01-01T00:43:00 is not aligned")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("rows", [
+        ["2024-01-01T00:10:00,2.0", "2024-01-01T00:00:00,1.0", "2024-01-01T00:20:00,3.0"],
+        ["2024-01-01T00:00:00,1.0", "2024-01-01T00:10:00,2.0", "2024-01-01T00:10:00,3.0"],
+        ["2024-01-01T00:00:00,1.0", "2024-01-01T00:10:00,2.0", "2024-01-01T00:25:00,3.0"],
+    ], ids=["unsorted", "repeated", "misaligned"])
+    def test_a_pipe_reads_as_the_same_bytes_from_a_file(self, tmp_path, rows):
+        # Each case reads a row a second time: the first in time order, or the bad one.
+        text = "\n".join(["timestamp,consumption_kwh", *rows, ""])
+
+        def outcome(path):
+            try:
+                series = parse_load_csv(path)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "line_number", None)
+            return series.start_time, series.resolution, series.values.tobytes()
+
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w", encoding="utf-8") as sink:
+            sink.write(text)
+        try:
+            piped = outcome(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert piped == outcome(_write(tmp_path, "same.csv", text))
 
     def test_writer_past_year_9999_raises_overflow(self, tmp_path):
         series = LoadSeries(start_time=datetime(9999, 12, 31, 23, 50), resolution=TEN_MIN,

@@ -7,7 +7,7 @@ import pytest
 
 from driftcast import pipeline
 from driftcast.errors import ConfigError, MismatchedRuns, ZeroActual
-from driftcast.evaluation import CostLedger, EvaluationReport
+from driftcast.evaluation import EvaluationReport
 from driftcast.ingest import DailyProfile, SplitSpec, generate_synthetic
 from driftcast.pipeline import (
     RunConfig,
@@ -69,7 +69,7 @@ class TestBaseline:
         report = run_baseline(_small_config(), _small_series())
         assert report.adaptation_count == 0
         assert report.drift_decisions == ()
-        assert [e.kind for e in report.ledger.entries] == ["initial_training"]
+        assert [e.kind for e in report.cost_entries] == ["initial_training"]
 
     def test_deterministic_reports(self):
         first = run_baseline(_small_config(), _small_series())
@@ -85,7 +85,7 @@ class TestPassive:
     def test_one_adaptation_per_test_day(self):
         report = run_passive(_small_config("passive"), _small_series())
         assert report.adaptation_count == report.split["test_days"] == 3
-        adaptations = [e for e in report.ledger.entries if e.kind == "adaptation"]
+        adaptations = [e for e in report.cost_entries if e.kind == "adaptation"]
         assert len(adaptations) == 3
         assert [e.day_index for e in adaptations] == \
                [d.day_index for d in report.daily_errors]
@@ -332,7 +332,7 @@ class TestCosts:
         series = _small_series()
         report = run_passive(config, series)
         prep = prepare_run(config, series)
-        entries = report.ledger.entries[1:]
+        entries = report.cost_entries[1:]
         assert [e.kind for e in entries] == ["hpo", "adaptation"] * len(prep.test_days)
         for day, hpo, fit in zip(prep.test_days, entries[::2], entries[1::2]):
             windows = len(prep.windows(day.readings, config.input_len))
@@ -347,8 +347,21 @@ class TestCosts:
     def test_deterministic_timing_is_reproducible(self):
         first = run_passive(_small_config("passive"), _small_series())
         second = run_passive(_small_config("passive"), _small_series())
-        assert [e.duration_seconds for e in first.ledger.entries] == \
-               [e.duration_seconds for e in second.ledger.entries]
+        assert [e.duration_seconds for e in first.cost_entries] == \
+               [e.duration_seconds for e in second.cost_entries]
+
+    @pytest.mark.parametrize("mode, tau", [("passive", None), ("active", 0.15)])
+    def test_wall_clock_timing_changes_only_the_costs(self, mode, tau):
+        series = _small_series()
+        charged = run(_small_config(mode, tau), series).to_dict()
+        timed = run(dataclasses.replace(_small_config(mode, tau), deterministic_timing=False),
+                    series).to_dict()
+        assert [(e["day_index"], e["kind"]) for e in timed["cost_entries"]] == \
+               [(e["day_index"], e["kind"]) for e in charged["cost_entries"]]
+        assert all(e["duration_seconds"] > 0.0 for e in timed["cost_entries"])
+        for key in ("cost_entries", "total_cost"):
+            del charged[key], timed[key]
+        assert timed == charged
 
 
 class TestCompare:
@@ -378,7 +391,7 @@ class TestCompare:
     def test_zero_cost_with_an_improvement_has_no_score(self):
         report = run_baseline(_small_config(), _small_series())
         free = dataclasses.replace(report, mean_mape=report.mean_mape / 2,
-                                   ledger=CostLedger(price_rate=report.ledger.price_rate))
+                                   cost_entries=())
         result = compare(report, [free])
         assert result["rows"][1]["improvement_mape"] == pytest.approx(50.0)
         assert result["rows"][1]["trade_off_score"] is None
@@ -405,8 +418,8 @@ class TestStructuralRetune:
         tuned_units = {h.n_units for h in report.hpo_events if h.event > 0}
         assert tuned_units <= {4, 6}
         # the full search's trials are its fits: all of it is fitting time
-        assert all(e.duration_seconds == 0.0 for e in report.ledger.entries if e.kind == "hpo")
-        assert all(e.duration_seconds > 0.0 for e in report.ledger.entries
+        assert all(e.duration_seconds == 0.0 for e in report.cost_entries if e.kind == "hpo")
+        assert all(e.duration_seconds > 0.0 for e in report.cost_entries
                    if e.kind == "adaptation")
 
 
@@ -460,7 +473,7 @@ class TestStackedSearch:
 
         space = pipeline.SearchSpace(learning_rates=(0.001, 0.01), dropout_rates=(0.0, 0.2),
                                      n_units_values=(4, 8))
-        clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
+        config = RunConfig(deterministic_timing=True, timing_coefficient=1.0)
         seeding = seeding_points(space, 7, 3)
         searched = self._recording_optimize(monkeypatch)
         # Widths 8, 4, 8, ...: the first group trained holds trials 0 and 2, so a
@@ -474,7 +487,7 @@ class TestStackedSearch:
                 groups.append(group)
                 return [(score(hp), hp) for hp in group]
 
-            best_hp, best_score, kept, duration = pipeline._search(space, 7, 3, clock, fit, 2, 3)
+            best_hp, best_score, kept, duration = pipeline._search(config, space, 7, 3, fit, 2, 3)
             trials = searched[-1]
             assert best_score == min(t.score for t in trials)
             assert duration == 2 * 3 * len(trials)  # epochs x windows x trials
@@ -489,7 +502,7 @@ class TestStackedSearch:
 
         space = pipeline.SearchSpace(learning_rates=(0.0001, 0.001, 0.01), dropout_rates=(0.0,),
                                      n_units_values=(32, 64))
-        clock = pipeline._CostClock(deterministic=True, coefficient=1.0)
+        config = RunConfig(deterministic_timing=True, timing_coefficient=1.0)
         seeding, groups = seeding_points(space, 5, 0), []
         searched = self._recording_optimize(monkeypatch)
 
@@ -497,7 +510,7 @@ class TestStackedSearch:
             groups.append(group)
             return [(hp.learning_rate, hp) for hp in group]
 
-        best_hp, _, kept, _ = pipeline._search(space, 5, 0, clock, fit, 1, 1)
+        best_hp, _, kept, _ = pipeline._search(config, space, 5, 0, fit, 1, 1)
         trials = searched[-1]
         narrow = [hp for hp in seeding if hp.n_units <= pipeline._STACK_MAX_UNITS]
         assert len(narrow) > 1 and len(narrow) < len(seeding)
