@@ -12,7 +12,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .errors import ConfigError, DriftcastError, InputError, UnparseableRow
+from .errors import ConfigError, DriftcastError, InputError
 from .evaluation import EvaluationReport
 from .ingest import (
     DailyProfile,
@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
+
+_PROFILE_KEYS = {"base", "peaks", "noise_sd", "resolution_minutes", "start_time", "events"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,13 +89,16 @@ def _cmd_synth(args) -> int:
         spec = json.loads(Path(args.profile).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"profile config is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"profile config must be a JSON object, got {spec!r}")
+    if set(spec) - _PROFILE_KEYS:
+        raise ConfigError(f"unknown profile keys: {sorted(set(spec) - _PROFILE_KEYS)}")
     try:
         profile = DailyProfile(
             base=spec.get("base", 10.0),
             peaks=tuple(tuple(p) for p in spec.get("peaks",
                                                    [[8.0, 2.0, 3.0], [19.0, 3.0, 5.0]])))
-        events = [DriftEvent(day=e["day"], kind=e["kind"], magnitude=e["magnitude"])
-                  for e in spec.get("events", [])]
+        events = [DriftEvent(**event) for event in spec.get("events", [])]
         noise_sd = float(spec.get("noise_sd", 0.5))
         resolution = timedelta(minutes=float(spec.get("resolution_minutes", 10)))
         start = datetime.fromisoformat(spec.get("start_time", "2024-01-01T00:00:00"))
@@ -144,7 +149,7 @@ def _load_report(path: str) -> EvaluationReport:
     try:
         return EvaluationReport.from_json(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise UnparseableRow(0, f"{path} is not a valid report: {exc}") from None
+        raise InputError(f"{path} is not a valid report: {exc}") from None
 
 
 def _cmd_compare(args) -> int:

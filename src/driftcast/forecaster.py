@@ -102,26 +102,8 @@ class LstmWeights:
     PEEPHOLES = ["p_i", "p_f", "p_o"]
     NAMES = GATE_TENSORS + PEEPHOLES + ["W_out", "b_out"]
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        missing = set(self.NAMES) - set(arrays)
-        if missing:
-            raise ValueError(f"missing weight tensors: {sorted(missing)}")
-        n_units, horizon = np.shape(arrays["W_i"])[0], np.shape(arrays["W_out"])[0]
-        self._bind(np.zeros(_packed_size(n_units, horizon)), n_units, horizon)
-        for name in self.NAMES:
-            view, value = getattr(self, name), np.asarray(arrays[name], dtype=float)
-            if value.shape != view.shape:
-                raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
-            view[...] = value
-
-    @classmethod
-    def packed(cls, flat: np.ndarray, n_units: int, horizon: int) -> "LstmWeights":
+    def __init__(self, flat: np.ndarray, n_units: int, horizon: int):
         """Weights viewing `flat` in place (no copy)."""
-        weights = cls.__new__(cls)
-        weights._bind(flat, n_units, horizon)
-        return weights
-
-    def _bind(self, flat: np.ndarray, n_units: int, horizon: int) -> None:
         size = _packed_size(n_units, horizon)
         if flat.dtype != np.float64 or flat.ndim not in (1, 2) or flat.shape[-1] != size:
             raise ValueError(f"expected {size} float64 parameters for "
@@ -147,7 +129,7 @@ class LstmWeights:
                    ) -> "LstmWeights":
         # Uniform in [-1/sqrt(U), 1/sqrt(U)] for every tensor, drawn in NAMES order.
         bound = 1.0 / np.sqrt(n_units)
-        weights = cls.packed(np.empty(_packed_size(n_units, horizon)), n_units, horizon)
+        weights = cls(np.empty(_packed_size(n_units, horizon)), n_units, horizon)
         for name in cls.NAMES:
             view = getattr(weights, name)
             view[...] = rng.uniform(-bound, bound, size=view.shape)
@@ -168,9 +150,6 @@ class LstmWeights:
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.NAMES}
-
-    def copy(self) -> "LstmWeights":
-        return LstmWeights.packed(self.flat.copy(), self.n_units, self.horizon)
 
 
 def _packed_size(n_units: int, horizon: int) -> int:
@@ -309,13 +288,10 @@ def _member_mse(diff: np.ndarray) -> list[float]:
     return [float(np.mean(member)) for member in (diff * diff).reshape(-1, *diff.shape[-2:])]
 
 
-def batch_forward(weights: LstmWeights, inputs: np.ndarray,
-                  dropout_mask: np.ndarray | None = None) -> np.ndarray:
+def batch_forward(weights: LstmWeights, inputs: np.ndarray) -> np.ndarray:
     """Predictions (batch, horizon) in normalized space; no side effects. A
     stack gives (members, batch, horizon) from shared or per-member inputs."""
     h, _ = _forward(weights, inputs, keep_cache=False)
-    if dropout_mask is not None:
-        h = h * dropout_mask
     return h @ weights.W_out.swapaxes(-1, -2) + weights.b_out[..., None, :]
 
 
@@ -337,7 +313,7 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
     diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
     losses = _member_mse(diff)
 
-    grads = LstmWeights.packed(np.zeros_like(w.flat), units, w.horizon)
+    grads = LstmWeights(np.zeros_like(w.flat), units, w.horizon)
     d_out = 2.0 * diff / (batch * w.horizon)
     grads.W_out[...] = d_out.swapaxes(-1, -2) @ h_drop
     grads.b_out[...] = d_out.sum(axis=-2)
@@ -455,66 +431,41 @@ class _TrainingRun:
     @classmethod
     def start(cls, weights: Sequence[LstmWeights], hps: Sequence[Hyperparameters],
               rngs: Sequence[np.random.Generator]) -> "_TrainingRun":
-        work = LstmWeights.packed(np.stack([w.flat for w in weights]),
-                                  weights[0].n_units, weights[0].horizon)
+        work = LstmWeights(np.stack([w.flat for w in weights]), weights[0].n_units,
+                           weights[0].horizon)
         return cls(work, _Adam(work, [hp.learning_rate for hp in hps]), list(rngs), list(hps))
 
     def select(self, rows: list[int]) -> "_TrainingRun":
         """A run of the members `rows` that shares no state with this one."""
         w = self.weights
-        return _TrainingRun(LstmWeights.packed(w.flat[rows], w.n_units, w.horizon),
+        return _TrainingRun(LstmWeights(w.flat[rows], w.n_units, w.horizon),
                             self.adam.select(rows), [copy.deepcopy(self.rngs[j]) for j in rows],
                             [self.hps[j] for j in rows], self.epochs_done)
 
 
-def _fit(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray, epochs: int,
-         batch_size: int, val: tuple[np.ndarray, np.ndarray] | None = None,
-         patience: int | None = None, keep_after: int | None = None,
-         ) -> tuple[list[LstmWeights], list[_TrainingRun | None]]:
-    """Train the stack `run` until it has done `epochs` epochs; consumes it.
+def _epoch(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray,
+           batch_size: int) -> None:
+    """One epoch of mini-batch Adam on the stack `run`: each member draws its own
+    batch order and dropout masks, so it gets the bits of its own separate run."""
+    orders = np.stack([rng.permutation(inputs.shape[0]) for rng in run.rngs])
+    for start in range(0, inputs.shape[0], batch_size):
+        batch_idx = orders[:, start : start + batch_size]
+        shape, mask = (batch_idx.shape[1], run.weights.n_units), None
+        if any(hp.dropout_rate for hp in run.hps):  # a rate-0 member draws no mask
+            mask = np.stack([(rng.random(shape) >= hp.dropout_rate) / (1.0 - hp.dropout_rate)
+                             if hp.dropout_rate else np.ones(shape)
+                             for rng, hp in zip(run.rngs, run.hps)])
+        losses, grads = loss_and_gradients(run.weights, inputs[batch_idx],
+                                           targets[batch_idx], mask)
+        _finite(losses, "training")
+        run.adam.update(run.weights, grads)
+    run.epochs_done += 1
 
-    Returns each member's best weights and, if `keep_after` is given, each
-    member's own run after that epoch (None if it never reaches it). "Best"
-    means lowest validation loss when a validation set is given (a member
-    leaves the stack after `patience` stale epochs), otherwise the final
-    weights. Every member gets the bits of its own separate run.
-    """
-    n, rows = inputs.shape[0], list(range(len(run.hps)))  # rows[r]: member at row r
-    out = run.weights.flat.copy() if val is not None else None  # best weights so far
-    best_loss = _mse(run.weights, *val) if val is not None else None
-    stale, kept = [0] * len(rows), [None] * len(rows)
 
-    while rows and run.epochs_done < epochs:
-        orders = np.stack([rng.permutation(n) for rng in run.rngs])
-        for start in range(0, n, batch_size):
-            batch_idx = orders[:, start : start + batch_size]
-            shape, mask = (batch_idx.shape[1], run.weights.n_units), None
-            if any(hp.dropout_rate for hp in run.hps):  # a rate-0 member draws no mask
-                mask = np.stack([(rng.random(shape) >= hp.dropout_rate) / (1.0 - hp.dropout_rate)
-                                 if hp.dropout_rate else np.ones(shape)
-                                 for rng, hp in zip(run.rngs, run.hps)])
-            losses, grads = loss_and_gradients(run.weights, inputs[batch_idx],
-                                               targets[batch_idx], mask)
-            _finite(losses, "training")
-            run.adam.update(run.weights, grads)
-        run.epochs_done += 1
-        if run.epochs_done == keep_after:
-            for row, member in enumerate(rows):
-                kept[member] = run.select([row])
-        val_losses = _finite(_mse(run.weights, *val), "validation") if val is not None else []
-        for row, (member, val_loss) in enumerate(zip(rows, val_losses)):
-            if val_loss < best_loss[member]:
-                out[member], best_loss[member], stale[member] = run.weights.flat[row], val_loss, 0
-            else:
-                stale[member] += 1
-        stay = [row for row, member in enumerate(rows)
-                if patience is None or stale[member] <= patience]
-        if len(stay) < len(rows):
-            run, rows = run.select(stay), [rows[row] for row in stay]
-    out = run.weights.flat if val is None else out
-    # A stack's rows are copied, so that no member keeps the whole stack alive.
-    return [LstmWeights.packed(f.copy() if len(out) > 1 else f, run.weights.n_units,
-                               run.weights.horizon) for f in out], kept
+def _members(flat: np.ndarray, n_units: int, horizon: int) -> list[LstmWeights]:
+    """Each row of a stack's `flat` as its own weights. A stack's rows are copied,
+    so that no member keeps the whole stack alive."""
+    return [LstmWeights(f.copy() if len(flat) > 1 else f, n_units, horizon) for f in flat]
 
 
 def train(model: ForecastModel | Sequence[ForecastModel],
@@ -522,16 +473,36 @@ def train(model: ForecastModel | Sequence[ForecastModel],
           val_windows: Sequence[SupervisedWindow], epochs: int,
           batch_size: int = DEFAULT_BATCH_SIZE,
           patience: int | None = DEFAULT_PATIENCE):
-    """Initial training run; keeps the best-validation weights seen. A list of
-    same-width models trains as one stack, each with the bits of its own call."""
+    """Initial training run; keeps the best-validation weights seen, and a member
+    leaves the stack after `patience` stale epochs. Without validation windows it
+    keeps the final weights. A list of same-width models trains as one stack,
+    each with the bits of its own call."""
     if not windows:
         raise EmptyTrainingSet("no supervised windows to train on")
     models = [model] if isinstance(model, ForecastModel) else list(model)
     inputs, targets = stack_windows(windows)
-    val = stack_windows(val_windows) if val_windows else None
     run = _TrainingRun.start([m.weights for m in models], [m.hyperparameters for m in models],
                              [np.random.default_rng([m.rng_seed, 2, m.version]) for m in models])
-    weights, _ = _fit(run, inputs, targets, epochs, batch_size, val, patience)
+    if val_windows:
+        val, rows = stack_windows(val_windows), list(range(len(models)))  # rows[r]: member at row r
+        best, best_loss, stale = run.weights.flat.copy(), _mse(run.weights, *val), [0] * len(rows)
+        while rows and run.epochs_done < epochs:
+            _epoch(run, inputs, targets, batch_size)
+            losses = _finite(_mse(run.weights, *val), "validation")
+            for row, (member, loss) in enumerate(zip(rows, losses)):
+                if loss < best_loss[member]:
+                    best[member], best_loss[member], stale[member] = run.weights.flat[row], loss, 0
+                else:
+                    stale[member] += 1
+            stay = [row for row, member in enumerate(rows)
+                    if patience is None or stale[member] <= patience]
+            if len(stay) < len(rows):
+                run, rows = run.select(stay), [rows[row] for row in stay]
+    else:
+        while run.epochs_done < epochs:
+            _epoch(run, inputs, targets, batch_size)
+        best = run.weights.flat
+    weights = _members(best, run.weights.n_units, run.weights.horizon)
     trained = [replace(m, weights=w) for m, w in zip(models, weights)]
     return trained[0] if isinstance(model, ForecastModel) else trained
 
@@ -562,16 +533,18 @@ def incremental_update(model: ForecastModel,
         if any(hp.n_units != model.hyperparameters.n_units for hp in hps):
             raise ValueError("n_units is structural; incremental updates cannot change it")
         inputs, targets = stack_windows(new_windows)
-        if resume is None:
-            resume = _TrainingRun.start(
-                [model.weights] * len(hps), hps,
-                [np.random.default_rng([model.rng_seed, 2, model.version + 1]) for _ in hps])
-        elif resume.hps != hps or resume.epochs_done > epochs:
+        if resume is not None and (resume.hps != hps or resume.epochs_done > epochs):
             raise ValueError("a resumed run must keep its rates and not be past `epochs`")
-        weights, runs = _fit(resume, inputs, targets, epochs, batch_size,
-                             keep_after=keep_run_after)
+        run = resume or _TrainingRun.start(
+            [model.weights] * len(hps), hps,
+            [np.random.default_rng([model.rng_seed, 2, model.version + 1]) for _ in hps])
+        while run.epochs_done < epochs:
+            _epoch(run, inputs, targets, batch_size)
+            if run.epochs_done == keep_run_after:  # each member's own run, from here
+                runs = [run.select([row]) for row in range(len(hps))]
         models = [replace(model, weights=w, hyperparameters=hp, version=model.version + 1)
-                  for w, hp in zip(weights, hps)]
+                  for w, hp in zip(_members(run.weights.flat, run.weights.n_units,
+                                            run.weights.horizon), hps)]
     if isinstance(tuned, Hyperparameters):
         models, runs = models[0], runs[0]
     return models if keep_run_after is None else (models, runs)
@@ -636,7 +609,7 @@ def load_model(path) -> ForecastModel:
         version = meta.pop("checkpoint_version")
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        weights = LstmWeights.packed(data["weights"], meta["n_units"], meta["horizon"])
+        weights = LstmWeights(data["weights"], meta["n_units"], meta["horizon"])
     hyperparameters, norm_stats = _take(Hyperparameters, meta), _take(NormStats, meta)
     return ForecastModel(weights=weights, hyperparameters=hyperparameters,
                          norm_stats=norm_stats, **meta)

@@ -128,8 +128,9 @@ def _read_columns(reader, ts_idx: int, val_idx: int, n_columns: int):
     first, micros, values, line = None, array("q"), array("d"), 2
     while rows := list(islice(reader, _CSV_BLOCK)):
         # A row has text if its joined cells do; the file lines are counted only on error.
-        lines = compress(range(line, line + len(rows)), map(str.strip, map("".join, rows)))
-        line, rows = line + len(rows), list(compress(rows, map(str.strip, map("".join, rows))))
+        has_text = list(map(bool, map(str.strip, map("".join, rows))))
+        lines = compress(range(line, line + len(rows)), has_text)
+        line, rows = line + len(rows), list(compress(rows, has_text))
         if not rows:
             continue
         try:
@@ -144,7 +145,7 @@ def _read_columns(reader, ts_idx: int, val_idx: int, n_columns: int):
             _raise_first_bad_row(zip(lines, rows), ts_idx, val_idx, n_columns, first)
         micros.extend((ts - first) // _MICROSECOND for ts in stamps)
         values.frombytes(block.tobytes())
-        del lines, rows, stamps  # before the next block is read
+        del has_text, lines, rows, stamps  # before the next block is read
     return first, np.frombuffer(micros, dtype=np.int64), np.frombuffer(values)
 
 

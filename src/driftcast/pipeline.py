@@ -24,7 +24,7 @@ import numpy as np
 
 from .density import Grid
 from .drift import DriftDecision, advance, decide, init_drift_state
-from .errors import ConfigError, MismatchedRuns, NonFiniteInput, ZeroActual
+from .errors import ConfigError, MismatchedRuns, ZeroActual
 from .evaluation import (
     DEFAULT_PRICE_RATE,
     EPSILON_ZERO,
@@ -218,8 +218,6 @@ def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
         if config.input_len + horizon > size:
             raise ConfigError(f"input_len {config.input_len} + horizon {horizon} "
                               f"leaves no window in the {size} {part} readings")
-    if not np.all(np.isfinite(pretest)):
-        raise NonFiniteInput("pre-test readings contain NaN or infinity")
     if not config.exclude_zero_actuals:
         _reject_zero_actuals(test_days)
     norm = NormStats.fit(train)
@@ -322,9 +320,10 @@ def _fresh_search(config: RunConfig, prep: PreparedRun, windows: SupervisedWindo
 
 
 def _update_model(config: RunConfig, prep: PreparedRun, model: ForecastModel,
-                  day: DaySample, seen_test_days: list[DaySample], event: int,
+                  index: int, event: int,
                   ) -> tuple[ForecastModel, float, float, Hyperparameters, float]:
-    """One adaptation event; returns (model, hpo s, fit s, chosen hp, loss).
+    """One adaptation event on test day `index`; returns (model, hpo s, fit s,
+    chosen hp, loss).
 
     By default the non-structural hyperparameters are tuned with short
     resumed fits on the new day's windows, scored on the most recent
@@ -334,15 +333,15 @@ def _update_model(config: RunConfig, prep: PreparedRun, model: ForecastModel,
     network is rebuilt by a full search over everything seen; its trials
     are the fits, so the whole search counts as fitting time.
     """
+    history = prep.pretest_days + prep.test_days[: index + 1]  # every day up to the new one
+    day, previous_day = history[-1], history[-2]
     if config.retune_units_full_retrain:
-        history = prep.pretest_days + seen_test_days + [day]
         windows = prep.windows(np.concatenate([d.readings for d in history]), config.input_len)
         tuned, loss, retrained, duration = _fresh_search(
             config, prep, windows, config.hpo_adapt_budget, _derived_seed(config.seed, 2, event))
         return replace(retrained, version=model.version + 1), 0.0, duration, tuned, loss
 
     day_windows = prep.windows(day.readings, config.input_len)
-    previous_day = seen_test_days[-1] if seen_test_days else prep.pretest_days[-1]
     score_windows = prep.windows(previous_day.readings, config.input_len)
     space = SearchSpace(config.learning_rates, config.dropout_rates,
                         (model.hyperparameters.n_units,))
@@ -383,22 +382,20 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
     context = np.concatenate([d.readings for d in prep.pretest_days])[-config.input_len:]
     daily_errors: list[DailyError] = []
     decisions: list[DriftDecision] = []
-    seen: list[DaySample] = []
-    for day in prep.test_days:
+    for index, day in enumerate(prep.test_days):
         daily_errors.append(_score_day(config, model, context, day))
         if active:
             decisions.append(decide(state, day, config.tau))
         if config.mode == "passive" or (active and decisions[-1].is_drift):
             event = len(hpo_events)
             model, hpo_duration, fit_duration, tuned, loss = _update_model(
-                config, prep, model, day, seen, event)
+                config, prep, model, index, event)
             costs += [CostEntry(day.day, "hpo", hpo_duration),
                       CostEntry(day.day, "adaptation", fit_duration)]
             hpo_events.append(HpoEventRecord(event=event, day_index=day.day, loss=loss,
                                              **asdict(tuned)))
         if active:
             state = advance(state, day, decisions[-1].divergence)
-        seen.append(day)
         context = np.concatenate([context, day.readings])[-config.input_len:]
 
     stats = summarize_daily(daily_errors)

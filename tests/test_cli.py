@@ -135,6 +135,24 @@ class TestSynthAndIngest:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", [
+        [], None, "x", 3,
+        {**PROFILE, "noise": 3.0},
+        {**PROFILE, "events": [{"day": 10, "kind": "mean_shift", "mag": 5.0}]},
+        {**PROFILE, "events": [{"day": 10, "kind": "mean_shift", "magnitude": 5.0, "mag": 1.0}]},
+        {**PROFILE, "events": [[10, "mean_shift", 5.0]]},
+    ], ids=["list", "null", "string", "number", "unknown_key", "renamed_event_key",
+            "extra_event_key", "event_not_an_object"])
+    def test_synth_profile_of_the_wrong_shape_is_config_error(self, workspace, capsys, spec):
+        bad_profile = workspace / "bad.json"
+        bad_profile.write_text(json.dumps(spec))
+        out = workspace / "s.csv"
+        code = main(["synth", "--profile", str(bad_profile), "--seed", "1",
+                     "--days", "12", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestRun:
     def test_baseline_run_writes_valid_report(self, workspace):
@@ -416,7 +434,20 @@ class TestCompareAndReport:
         assert csv_text.startswith("day_index,mape,rmse")
         assert len(csv_text.strip().splitlines()) == 4  # header + 3 test days
 
-    def test_report_on_garbage_is_input_error(self, workspace):
+    def test_report_on_garbage_is_input_error(self, workspace, capsys):
         garbage = workspace / "garbage.json"
         garbage.write_text("{not json")
         assert main(["report", "--in", str(garbage)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{garbage} is not a valid report" in err
+        assert "line 0" not in err
+
+    def test_compare_with_a_garbage_candidate_is_input_error(self, workspace, capsys):
+        base_out, _ = self._two_reports(workspace)
+        garbage = workspace / "garbage.json"
+        garbage.write_text("{not json")
+        assert main(["compare", "--baseline", str(base_out),
+                     "--candidate", str(garbage)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{garbage} is not a valid report" in err
+        assert "line 0" not in err

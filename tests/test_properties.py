@@ -148,16 +148,19 @@ stack_rates = st.lists(st.tuples(st.sampled_from([0.3, 0.05, 0.01, 0.001]),
                       min_size=1, max_size=4, unique_by=lambda pair: pair[0])
 
 
+@pytest.mark.parametrize("with_val", [True, False], ids=["val", "no_val"])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(stack_rates, st.integers(min_value=0, max_value=1),
        st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**16))
-def test_a_stacked_train_equals_separate_calls_bitwise(rates, patience, n_windows, seed):
-    # Distinct learning rates with patience 0-1 stop members at different epochs.
+def test_a_stacked_train_equals_separate_calls_bitwise(with_val, rates, patience, n_windows,
+                                                       seed):
+    # Distinct learning rates with patience 0-1 stop members at different epochs;
+    # without a validation set every member trains all its epochs.
     rng = np.random.default_rng(seed)
     models = [new_model(Hyperparameters(learning_rate=lr, dropout_rate=dr, n_units=4),
                         NormStats(vmin=0.0, vmax=1.0), rng_seed=seed) for lr, dr in rates]
     windows = build_windows(rng.random(n_windows + 17), 12, 6)
-    val = build_windows(rng.random(40), 12, 6)
+    val = build_windows(rng.random(40), 12, 6) if with_val else []
     stacked = train(models, windows, val, epochs=6, batch_size=8, patience=patience)
     for model, got in zip(models, stacked, strict=True):
         alone = train(model, windows, val, epochs=6, batch_size=8, patience=patience)
