@@ -223,64 +223,77 @@ def stack_windows(windows: Sequence[SupervisedWindow]) -> tuple[np.ndarray, np.n
 
 # --- forward / backward -------------------------------------------------------
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function with the bits of 1/(1+exp(-x)) for x >= 0 and of
-    exp(x)/(1+exp(x)) below; exp only sees -|x|, so it cannot overflow, and a
-    term that rounds to zero is not reported as underflow."""
-    e = np.abs(x)
-    np.negative(e, out=e)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function of `x` into `out`, with `x` as scratch: the bits of
+    1/(1+exp(-x)) for x >= 0 and of exp(x)/(1+exp(x)) below. The numerator
+    exp(min(x, 0)) is 1 or exp(x), the denominator 1 + exp(-|x|). exp sees
+    no positive argument, so it cannot overflow, and a term that rounds to
+    zero is not reported as underflow."""
+    np.minimum(x, 0.0, out=out)
+    np.abs(x, out=x)
+    np.negative(x, out=x)
     with np.errstate(under="ignore"):
-        np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
+        np.exp(x, out=x)
+        np.exp(out, out=out)
+    x += 1.0
+    return np.divide(out, x, out=out)
 
 
 def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
-    """Unroll the LSTM over (batch, steps) inputs.
+    """Unroll the LSTM over (batch, steps) inputs, gate-major.
 
-    Each step stacks the pre-activations of z, i, f and o and takes their
-    recurrent part from one matmul. The input and forget gates peep at the
+    The gate math runs on contiguous (batch, U) blocks: pre-activations and
+    gate outputs are (4, batch, U) arrays in the order z, i, f, o. Each step
+    writes x*W into them, takes the recurrent part of all four gates from one
+    (batch, 4U) matmul and adds it. The input and forget gates peep at the
     previous cell state; the output gate peeps at the *updated* cell, so it
     is finished after the cell update. Each pre-activation is summed per
     element in the order ((x*W + h*R) + c*p) + b, the order of the per-gate
-    formulas, so the values do not depend on the stacking. A stack of
-    networks adds a leading member axis; its inputs may share one block.
+    formulas, so the values do not depend on the layout. A stack of networks
+    adds a member axis after the gate axis; its inputs may share one block.
+
+    With `keep_cache` the bias and peepholes are copied into batch-sized
+    blocks and every step's h, c, gates and tanh(c) are kept for the backward
+    pass; without it, one step's state is overwritten in place.
     """
     w = weights
     lead, units = w.flat.shape[:-1], w.n_units
     batch, steps = inputs.shape[-2:]
-    b, p = w.b.reshape(*lead, 1, 4, units), w.p.reshape(*lead, 1, 3, units)
-    b_zif, b_o, p_if, p_o = b[..., :3, :], b[..., 3, :], p[..., :2, :], p[..., 2, :]
-    W, R_T = w.W[..., None, :], w.R.swapaxes(-1, -2)
-    xs = inputs[..., None]
-    pre = np.empty((*lead, batch, 4, units))
-    pre_all, pre_zif, pre_z, pre_if, pre_o = (
-        pre.reshape(*lead, batch, 4 * units), pre[..., :3, :], pre[..., 0, :],
-        pre[..., 1:3, :], pre[..., 3, :])
-    h = np.zeros((*lead, batch, units))
-    c = np.zeros((*lead, batch, units))
-    cache = [] if keep_cache else None
+    block = (*lead, batch, units)
+    b, p = (np.moveaxis(a.reshape(*lead, 1, -1, units), -2, 0) for a in (w.b, w.p))
+    if keep_cache:
+        b, p = (np.broadcast_to(a, a.shape[:-2] + (batch, units)).copy() for a in (b, p))
+    W, R_T = w.W.reshape(*lead, 1, 4, units), w.R.swapaxes(-1, -2)
+    xs = inputs[..., None, None]
+    pre = np.empty((4, *block))
+    pre_rows = np.moveaxis(pre, 0, -2)
+    slot = int(keep_cache)  # step t reads h, c at t * slot and writes them at (t + 1) * slot
+    hs, cs = np.zeros((2, steps * slot + 1, *block))
+    kept = steps * slot or 1
+    gates, tanh_cs = np.empty((kept, 4, *block)), np.empty((kept, *block))
+    # Until written, a step's gate outputs and tanh_c serve as scratch: the
+    # gate block holds the (batch, 4U) rows of the recurrent matmul.
+    rows = gates.reshape(kept, *lead, batch, 4 * units)
+    row_gates = np.moveaxis(rows.reshape(kept, *lead, batch, 4, units), -2, 1)
     for t in range(steps):
-        x_t = xs[..., t, :]
-        np.multiply(x_t, W, out=pre_all)
-        pre_all += h @ R_T
-        pre_if += c[..., None, :] * p_if
-        pre_zif += b_zif
-        z = np.tanh(pre_z)
-        i_f = _sigmoid(pre_if)
-        c_new = z * i_f[..., 0, :]
-        c_new += c * i_f[..., 1, :]
-        pre_o += c_new * p_o
-        pre_o += b_o
-        o_g = _sigmoid(pre_o)
-        tanh_c = np.tanh(c_new)
-        if keep_cache:
-            cache.append((x_t, h, c, z, i_f, c_new, o_g, tanh_c))
-        h = o_g * tanh_c
-        c = c_new
-    return h, cache
+        k = t * slot
+        h, c, h_new, c_new = hs[k], cs[k], hs[k + slot], cs[k + slot]
+        g, tanh_c = gates[k], tanh_cs[k]
+        np.multiply(xs[..., t, :, :], W, out=pre_rows)
+        np.matmul(h, R_T, out=rows[k])
+        pre += row_gates[k]
+        pre[1:3] += np.multiply(c, p[:2], out=g[1:3])
+        pre[:3] += b[:3]
+        np.tanh(pre[0], out=g[0])
+        _sigmoid(pre[1:3], out=g[1:3])
+        np.multiply(c, g[2], out=c_new)  # c*f + z*i: the same sum as z*i + c*f
+        c_new += np.multiply(g[0], g[1], out=tanh_c)
+        pre[3] += np.multiply(c_new, p[2], out=g[3])
+        pre[3] += b[3]
+        _sigmoid(pre[3], out=g[3])
+        np.tanh(c_new, out=tanh_c)
+        np.multiply(g[3], tanh_c, out=h_new)
+    return h_new, ((hs, cs, gates, tanh_cs, p) if keep_cache else None)
 
 
 def _member_mse(diff: np.ndarray) -> list[float]:
@@ -308,7 +321,7 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
     w = weights
     lead, units = w.flat.shape[:-1], w.n_units
     batch, steps = inputs.shape[-2:]
-    h_final, cache = _forward(w, inputs, keep_cache=True)
+    h_final, (hs, cs, gates, tanh_cs, p) = _forward(w, inputs, keep_cache=True)
     h_drop = h_final if dropout_mask is None else h_final * dropout_mask
     diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
     losses = _member_mse(diff)
@@ -321,41 +334,43 @@ def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
     if dropout_mask is not None:
         dh = dh * dropout_mask
     dc_next = np.zeros((*lead, batch, units))
-    p = w.p.reshape(*lead, 1, 3, units)
-    p_i, p_f, p_o = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    p_i, p_f, p_o = p
 
-    # One row per window: x*d | d | c_prev*(d_i, d_f) | c*d_o, laid out like
-    # the head W | b | p of the flat vector, so one batch sum per step
-    # accumulates all three gradients. d holds the gate deltas dz, di, df, do.
+    # Eleven (batch, U) blocks x*d | d | c_prev*(d_i, d_f) | c*d_o, in the
+    # order of the head W | b | p of the flat vector; d holds the gate deltas
+    # dz, di, df, do. Each step copies them into one row per window, so one
+    # batch sum per step accumulates all three gradients.
+    blocks = np.empty((11, *lead, batch, units))
+    xd, d, d_if, cd_if, cd_o = blocks[:4], blocks[4:8], blocks[5:7], blocks[8:10], blocks[10]
+    dz, di, df, do = d
     head = np.empty((*lead, batch, 11 * units))
-    xd, d_all = head[..., : 4 * units], head[..., 4 * units : 8 * units]
-    cd_if = head[..., 8 * units : 10 * units].reshape(*lead, batch, 2, units)
-    cd_o = head[..., 10 * units :]
-    d = d_all.reshape(*lead, batch, 4, units)
-    dz, di, df, do, d_if = (d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :],
-                            d[..., 1:3, :])
+    head_blocks = np.moveaxis(head.reshape(*lead, batch, 11, units), -2, 0)
+    d_all = head[..., 4 * units : 8 * units]
     grad_head = grads.flat[..., : 11 * units]
     grad_R_t = np.empty_like(w.R)
+    xs = np.moveaxis(inputs, -1, 0)[..., None]
     for t in reversed(range(steps)):
-        x_t, h_prev, c_prev, z, i_f, c_t, o_g, tanh_c = cache[t]
+        h_prev, c_prev, c_t, tanh_c = hs[t], cs[t], cs[t + 1], tanh_cs[t]
+        (z, i, f, o), i_f = gates[t], gates[t, 1:3]
         np.multiply(dh, tanh_c, out=do)
-        do *= o_g
-        do *= 1.0 - o_g
-        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do * p_o
-        np.multiply(dc, i_f[..., 0, :], out=dz)
+        do *= o
+        do *= 1.0 - o
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next + do * p_o
+        np.multiply(dc, i, out=dz)
         dz *= 1.0 - z * z
         np.multiply(dc, z, out=di)
         np.multiply(dc, c_prev, out=df)
         d_if *= i_f
         d_if *= 1.0 - i_f
-        dc_next = dc * i_f[..., 1, :] + di * p_i + df * p_f
+        dc_next = dc * f + di * p_i + df * p_f
         # Four products added in gate order: one (4U)-deep matmul would
         # reorder the sum.
         dh = dz @ w.R_z + di @ w.R_i + df @ w.R_f + do @ w.R_o
 
-        np.multiply(d_all, x_t, out=xd)
-        np.multiply(d_if, c_prev[..., None, :], out=cd_if)
+        np.multiply(d, xs[t], out=xd)
+        np.multiply(d_if, c_prev, out=cd_if)
         np.multiply(do, c_t, out=cd_o)
+        np.copyto(head_blocks, blocks)
         grad_head += head.sum(axis=-2)
         grads.R += np.matmul(d_all.swapaxes(-1, -2), h_prev, out=grad_R_t)
 

@@ -584,17 +584,166 @@ class TestPackedAgainstPerGateReference:
 
     def test_sigmoid_matches_the_masked_form_without_warnings(self):
         rng = np.random.default_rng(16)
-        edges = [np.inf, -np.inf, 800.0, -800.0, 0.0, -0.0, 36.0, -37.0, 709.0, -740.0]
-        x = np.concatenate([edges, rng.normal(0.0, 10.0, 1019)])
+        edges = [np.inf, -np.inf, 800.0, -800.0, 0.0, -0.0, 36.0, -37.0, 709.0, -740.0, np.nan]
+        x = np.concatenate([edges, rng.normal(0.0, 10.0, 1165)])  # 1176 = 7*3*56 = 2*4*7*21
         with np.errstate(under="ignore"):
             expected = _ref_sigmoid(x)
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            got = _sigmoid(x)
-            strided = _sigmoid(x.reshape(7, 3, 49)[:, 1:])
-        assert got.tobytes() == expected.tobytes()
-        assert strided.tobytes() == expected.reshape(7, 3, 49)[:, 1:].tobytes()
-        assert got[0] == 1.0 and got[1] == 0.0 and got[4] == 0.5
+        # Flat; strided; and the i, f rows of a stack of two (4, 7, 21) gate blocks,
+        # written into the same rows of another. `_sigmoid` overwrites its input.
+        shapes = [(lambda a: a, x.shape), (lambda a: a[:, 1:], (7, 3, 56)),
+                  (lambda a: a[:, 1:3], (2, 4, 7, 21))]
+        for view, shape in shapes:
+            out = view(np.full(shape, -1.0))
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                got = _sigmoid(view(x.reshape(shape).copy()), out)
+            assert got is out
+            assert got.tobytes() == view(expected.reshape(shape)).tobytes(), shape
+        got = _sigmoid(x.copy(), np.empty_like(x))
+        assert got[0] == 1.0 and got[1] == 0.0 and got[4] == got[5] == 0.5
+        assert np.isnan(got[10])
+
+# --- the gate-major step against the row-layout one ----------------------------
+#
+# The row-layout forward and backward that the gate-major step replaced, kept
+# as its oracle: the same matmuls and batch sums, with the gate math on strided
+# (batch, U) views of (batch, 4U) rows and the parameters broadcast every step.
+
+def _row_sigmoid(x):
+    e = np.abs(x)
+    np.negative(e, out=e)
+    with np.errstate(under="ignore"):
+        np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _row_forward(w, inputs):
+    lead, units = w.flat.shape[:-1], w.n_units
+    batch, steps = inputs.shape[-2:]
+    b, p = w.b.reshape(*lead, 1, 4, units), w.p.reshape(*lead, 1, 3, units)
+    b_zif, b_o, p_if, p_o = b[..., :3, :], b[..., 3, :], p[..., :2, :], p[..., 2, :]
+    W, R_T = w.W[..., None, :], w.R.swapaxes(-1, -2)
+    xs = inputs[..., None]
+    pre = np.empty((*lead, batch, 4, units))
+    pre_all, pre_zif, pre_z, pre_if, pre_o = (
+        pre.reshape(*lead, batch, 4 * units), pre[..., :3, :], pre[..., 0, :],
+        pre[..., 1:3, :], pre[..., 3, :])
+    h, c, cache = np.zeros((*lead, batch, units)), np.zeros((*lead, batch, units)), []
+    for t in range(steps):
+        x_t = xs[..., t, :]
+        np.multiply(x_t, W, out=pre_all)
+        pre_all += h @ R_T
+        pre_if += c[..., None, :] * p_if
+        pre_zif += b_zif
+        z = np.tanh(pre_z)
+        i_f = _row_sigmoid(pre_if)
+        c_new = z * i_f[..., 0, :]
+        c_new += c * i_f[..., 1, :]
+        pre_o += c_new * p_o
+        pre_o += b_o
+        o_g = _row_sigmoid(pre_o)
+        tanh_c = np.tanh(c_new)
+        cache.append((x_t, h, c, z, i_f, c_new, o_g, tanh_c))
+        h, c = o_g * tanh_c, c_new
+    return h, cache
+
+
+def _row_batch_forward(w, inputs):
+    return _row_forward(w, inputs)[0] @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :]
+
+
+def _row_loss_and_gradients(w, inputs, targets, mask):
+    lead, units = w.flat.shape[:-1], w.n_units
+    batch, steps = inputs.shape[-2:]
+    h_final, cache = _row_forward(w, inputs)
+    h_drop = h_final if mask is None else h_final * mask
+    diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
+    losses = [float(np.mean(m)) for m in (diff * diff).reshape(-1, *diff.shape[-2:])]
+    grads = LstmWeights(np.zeros_like(w.flat), units, w.horizon)
+    d_out = 2.0 * diff / (batch * w.horizon)
+    grads.W_out[...] = d_out.swapaxes(-1, -2) @ h_drop
+    grads.b_out[...] = d_out.sum(axis=-2)
+    dh = d_out @ w.W_out
+    if mask is not None:
+        dh = dh * mask
+    dc_next = np.zeros((*lead, batch, units))
+    p = w.p.reshape(*lead, 1, 3, units)
+    p_i, p_f, p_o = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    head = np.empty((*lead, batch, 11 * units))
+    xd, d_all = head[..., : 4 * units], head[..., 4 * units : 8 * units]
+    cd_if = head[..., 8 * units : 10 * units].reshape(*lead, batch, 2, units)
+    cd_o = head[..., 10 * units :]
+    d = d_all.reshape(*lead, batch, 4, units)
+    dz, di, df, do, d_if = (d[..., 0, :], d[..., 1, :], d[..., 2, :], d[..., 3, :],
+                            d[..., 1:3, :])
+    grad_head = grads.flat[..., : 11 * units]
+    grad_R_t = np.empty_like(w.R)
+    for x_t, h_prev, c_prev, z, i_f, c_t, o_g, tanh_c in reversed(cache):
+        np.multiply(dh, tanh_c, out=do)
+        do *= o_g
+        do *= 1.0 - o_g
+        dc = dh * o_g * (1.0 - tanh_c * tanh_c) + dc_next + do * p_o
+        np.multiply(dc, i_f[..., 0, :], out=dz)
+        dz *= 1.0 - z * z
+        np.multiply(dc, z, out=di)
+        np.multiply(dc, c_prev, out=df)
+        d_if *= i_f
+        d_if *= 1.0 - i_f
+        dc_next = dc * i_f[..., 1, :] + di * p_i + df * p_f
+        dh = dz @ w.R_z + di @ w.R_i + df @ w.R_f + do @ w.R_o
+        np.multiply(d_all, x_t, out=xd)
+        np.multiply(d_if, c_prev[..., None, :], out=cd_if)
+        np.multiply(do, c_t, out=cd_o)
+        grad_head += head.sum(axis=-2)
+        grads.R += np.matmul(d_all.swapaxes(-1, -2), h_prev, out=grad_R_t)
+    return (losses if lead else losses[0]), grads
+
+
+class TestGateMajorAgainstRowLayout:
+    # k: the stack's members, None for one network with no member axis. At 128
+    # units and up the grid drops batches above 32 and stacks of five, which
+    # would take seconds and add no new shape.
+    @pytest.mark.parametrize("units,k", [(units, k) for units in (1, 2, 4, 8, 16, 32, 48, 64,
+                                                                   128, 256)
+                                         for k in (None, 1, 2, 5) if units < 128 or k != 5])
+    def test_bit_identical_to_the_row_layout_step(self, units, k):
+        lead = () if k is None else (k,)
+        for batch in (1, 3, 7, 24, 31, 32) + ((127, 500) if units < 128 else ()):
+            rng = np.random.default_rng([units, batch, k or 0])
+            flat = np.stack([LstmWeights.initialize(units, 6, rng).flat for _ in range(k or 1)])
+            weights = LstmWeights(flat if k else flat[0], units, 6)
+            inputs, targets = rng.random((*lead, batch, 12)), rng.random((*lead, batch, 6))
+            mask = (rng.random((*lead, batch, units)) >= 0.3) / 0.7
+            for dropout in (None, mask):
+                label = f"batch {batch}, mask {dropout is not None}"
+                loss, grads = loss_and_gradients(weights, inputs, targets, dropout)
+                want_loss, want = _row_loss_and_gradients(weights, inputs, targets, dropout)
+                assert np.array(loss).tobytes() == np.array(want_loss).tobytes(), label
+                for name in LstmWeights.NAMES:
+                    assert grads[name].tobytes() == want[name].tobytes(), (label, name)
+            assert (batch_forward(weights, inputs).tobytes()
+                    == _row_batch_forward(weights, inputs).tobytes()), batch
+            if k:  # every member reads one shared input block
+                assert (batch_forward(weights, inputs[0]).tobytes()
+                        == _row_batch_forward(weights, inputs[0]).tobytes()), batch
+
+    def test_saturated_gates_raise_no_floating_point_error(self):
+        # Pre-activations near +-800: every gate's exp(-|x|) underflows to 0.
+        rng = np.random.default_rng(18)
+        weights = LstmWeights.initialize(8, 6, rng)
+        weights.W[...] = 800.0 * np.where(np.arange(32) % 3, 1.0, -1.0)
+        inputs, targets = np.ones((5, 12)), rng.random((5, 6))
+        mask = (rng.random((5, 8)) >= 0.3) / 0.7
+        for dropout in (None, mask):
+            want_loss, want = _row_loss_and_gradients(weights, inputs, targets, dropout)
+            with np.errstate(all="raise"):
+                loss, grads = loss_and_gradients(weights, inputs, targets, dropout)
+                out = batch_forward(weights, inputs)
+            assert loss == want_loss and grads.flat.tobytes() == want.flat.tobytes()
+            assert np.all(np.isfinite(grads.flat)) and np.all(np.isfinite(out))
 
 
 # --- stacks of same-width networks -------------------------------------------

@@ -18,7 +18,9 @@ rates whose members stop early at different epochs (patience 1), a budget
 above `n_init` so surrogate trials follow the seeding batch, and a seeding
 batch that mixes 4 and 8 units; and passive runs at `input_len` 30 (with
 `retune_units_full_retrain`) and 138, the largest a 10-minute day admits, so
-that an adaptation trains on one window per day.
+that an adaptation trains on one window per day. Two seed-0 cases,
+`d26-u64-baseline-s0` and `d26-u64-passive-s0`, run d26 at 64 units, so a
+change that moves bits only at paper-like widths also shows.
 
 The ingest cases follow: for each stream and seed, `ingest-<stream>-s<seed>.csv`
 holds the bytes `write_load_csv` writes, and `ingest-<stream>-s<seed>-parsed.json`
@@ -126,6 +128,10 @@ def cases():
         for policy in ("baseline", "passive", "active0.15"):
             yield (f"d26q15-{policy}-s{seed}", replace(d26, **POLICIES[policy]),
                    series["d26q15"])
+        if seed == 0:
+            for policy in ("baseline", "passive"):
+                yield (f"d26-u64-{policy}-s{seed}",
+                       replace(d26, n_units_values=(64,), **POLICIES[policy]), series["d26"])
 
 
 def ingest_cases():
