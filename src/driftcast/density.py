@@ -31,6 +31,9 @@ KDE_CHUNK = 4096
 # grid points.
 _KERNEL_BLOCK = 256
 
+# The least bandwidth silverman_bandwidth returns, for degenerate samples.
+_MIN_BANDWIDTH = 1e-3
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -53,10 +56,6 @@ class Grid:
     @property
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.n_points - 1)
-
-    def key(self) -> str:
-        """Stable identifier used to tag divergences with their grid."""
-        return f"{self.lo!r}:{self.hi!r}:{self.n_points}"
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def shared_grid(values_a, values_b, bandwidth: float,
     return Grid(lo=lo, hi=hi, n_points=n_points)
 
 
-def silverman_bandwidth(values, floor: float = 1e-3) -> float:
+def silverman_bandwidth(values) -> float:
     """Silverman's rule-of-thumb bandwidth, floored for degenerate samples.
 
     Used for the divergence-history distribution, which lives on [0, 1]
@@ -148,6 +147,6 @@ def silverman_bandwidth(values, floor: float = 1e-3) -> float:
     iqr = float(q75 - q25)
     spread_candidates = [s for s in (std, iqr / 1.34) if s > 0]
     if not spread_candidates:
-        return floor
+        return _MIN_BANDWIDTH
     bw = 0.9 * min(spread_candidates) * v.size ** (-0.2)
-    return max(bw, floor)
+    return max(bw, _MIN_BANDWIDTH)

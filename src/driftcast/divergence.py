@@ -22,14 +22,12 @@ _Q_FLOOR = 1e-300
 @dataclass(frozen=True)
 class DivergenceValue:
     value: float
-    kind: str  # "jsd" or "sqrt_jsd"
-    grid_id: str
 
 
 def _require_same_grid(p: DensityEstimate, q: DensityEstimate) -> None:
     if p.grid != q.grid:
         raise GridMismatch(
-            f"densities on different grids: {p.grid.key()} vs {q.grid.key()}"
+            f"densities on different grids: {p.grid!r} vs {q.grid!r}"
         )
 
 
@@ -59,8 +57,7 @@ def jsd(p: DensityEstimate, q: DensityEstimate) -> DivergenceValue:
     _require_same_grid(p, q)
     m = 0.5 * (p.density + q.density)
     value = 0.5 * (_kl_bits_vs(p, m) + _kl_bits_vs(q, m))
-    return DivergenceValue(value=min(max(value, 0.0), 1.0), kind="jsd",
-                           grid_id=p.grid.key())
+    return DivergenceValue(value=min(max(value, 0.0), 1.0))
 
 
 def _kl_bits_vs(p: DensityEstimate, m: np.ndarray) -> float:
@@ -73,6 +70,4 @@ def _kl_bits_vs(p: DensityEstimate, m: np.ndarray) -> float:
 
 def sqrt_jsd(p: DensityEstimate, q: DensityEstimate) -> DivergenceValue:
     """Square root of the JSD; a metric, used as the drift distance."""
-    base = jsd(p, q)
-    return DivergenceValue(value=math.sqrt(base.value), kind="sqrt_jsd",
-                           grid_id=base.grid_id)
+    return DivergenceValue(value=math.sqrt(jsd(p, q).value))

@@ -104,11 +104,6 @@ class DriftState:
     def reference_readings(self) -> np.ndarray:
         return self.pool_sums.pool
 
-    @property
-    def history_bandwidth(self) -> float:
-        """Silverman bandwidth over the current divergence history."""
-        return silverman_bandwidth(self.divergence_history)
-
 
 @dataclass(frozen=True)
 class DriftDecision:
@@ -160,8 +155,8 @@ def tail_mass(history, probe: float, bandwidth: float,
               n_points: int = DEFAULT_GRID_POINTS) -> float:
     """Upper-tail mass of the history KDE at `probe`, clamped to [0, 1].
 
-    Trapezoid rule on the padded domain grid, with the cut cell handled by
-    linear interpolation of the density at the probe.
+    Trapezoid rule on the padded domain grid from the probe, clamped into the
+    grid, with the cut cell handled by linear interpolation of the density.
     """
     values = np.asarray(history, dtype=float).ravel()
     if values.size == 0:
@@ -172,16 +167,11 @@ def tail_mass(history, probe: float, bandwidth: float,
     dens = estimate_kde(values, bandwidth, grid).density
     pts = grid.points
 
-    if probe <= lo:
-        mass = float(np.trapezoid(dens, pts))
-    elif probe >= hi:
-        mass = 0.0
-    else:
-        k = int(np.searchsorted(pts, probe, side="left"))
-        mass = float(np.trapezoid(dens[k:], pts[k:])) if k < len(pts) else 0.0
-        if k > 0 and k < len(pts):
-            d_probe = float(np.interp(probe, pts, dens))
-            mass += 0.5 * (d_probe + dens[k]) * float(pts[k] - probe)
+    probe = min(max(probe, lo), hi)
+    k = int(np.searchsorted(pts, probe, side="left"))
+    mass = float(np.trapezoid(dens[k:], pts[k:]))
+    d_probe = float(np.interp(probe, pts, dens))
+    mass += 0.5 * (d_probe + dens[k]) * float(pts[k] - probe)
     return float(min(max(mass, 0.0), 1.0))
 
 
@@ -197,7 +187,7 @@ def p_value(state: DriftState, divergence: float) -> float:
     history = state.divergence_history
     if history.size == 0:
         raise EmptyHistory("no divergence history recorded yet")
-    p = tail_mass(history, divergence, state.history_bandwidth, n_points=state.grid_points)
+    p = tail_mass(history, divergence, silverman_bandwidth(history), n_points=state.grid_points)
     return min(p, _P_CAP)
 
 

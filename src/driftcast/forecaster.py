@@ -296,9 +296,9 @@ def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
     return h_new, ((hs, cs, gates, tanh_cs, p) if keep_cache else None)
 
 
-def _member_mse(diff: np.ndarray) -> list[float]:
-    """Each member's mean squared error, reduced over its own contiguous slice."""
-    return [float(np.mean(member)) for member in (diff * diff).reshape(-1, *diff.shape[-2:])]
+def _member_mse(diff: np.ndarray) -> np.ndarray:
+    """Each member's mean squared error, reduced over its own contiguous row."""
+    return (diff * diff).reshape(-1, diff.shape[-2] * diff.shape[-1]).mean(axis=1)
 
 
 def batch_forward(weights: LstmWeights, inputs: np.ndarray) -> np.ndarray:
@@ -421,11 +421,11 @@ class _Adam:
         weights.flat -= a
 
 
-def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> list[float]:
+def _mse(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return _member_mse(batch_forward(weights, inputs) - targets)
 
 
-def _finite(losses: list[float], kind: str) -> list[float]:
+def _finite(losses: np.ndarray, kind: str) -> np.ndarray:
     if not np.all(np.isfinite(losses)):
         raise DivergedLoss(f"{kind} loss became {min(losses, key=np.isfinite)}")
     return losses

@@ -201,25 +201,22 @@ def _gap_counts(micros: np.ndarray) -> Counter:
                                        for lo in range(0, micros.size - 1, _CSV_BLOCK)))
 
 
-def parse_load_csv(path,
-                   schema: tuple[str, str] = (CSV_TIMESTAMP_COLUMN, CSV_VALUE_COLUMN),
-                   ) -> LoadSeries:
+def parse_load_csv(path) -> LoadSeries:
     """Read a two-column CSV into a LoadSeries.
 
     The resolution is inferred as the modal gap between consecutive
     readings; slots with no reading are left as NaN for resample_and_fill.
     """
-    ts_col, val_col = schema
     with io.TextIOWrapper(_seekable(path), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             if (header := next(reader, None)) is None:
                 raise EmptySeries(f"{path}: file is empty")
             header = [h.strip() for h in header]
-            if ts_col not in header or val_col not in header:
-                raise UnparseableRow(1, f"header must contain {ts_col!r} and {val_col!r}, "
-                                        f"got {header}")
-            ts_idx, val_idx = header.index(ts_col), header.index(val_col)
+            if CSV_TIMESTAMP_COLUMN not in header or CSV_VALUE_COLUMN not in header:
+                raise UnparseableRow(1, f"header must contain {CSV_TIMESTAMP_COLUMN!r} and "
+                                        f"{CSV_VALUE_COLUMN!r}, got {header}")
+            ts_idx, val_idx = header.index(CSV_TIMESTAMP_COLUMN), header.index(CSV_VALUE_COLUMN)
             first, micros, values = _read_columns(reader, ts_idx, val_idx, len(header))
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -457,6 +454,8 @@ def generate_synthetic(profile: DailyProfile,
             later *= event.magnitude
         else:  # shape_swap
             later[:] = np.roll(later, int(round(event.magnitude * rpd)), axis=1)
+    if not np.isfinite(block).all():
+        raise ValueError("the profile and its events give non-finite load values")
     block += rng.normal(0.0, noise_sd, (n_days, rpd)) if noise_sd > 0 else 0.0
     return LoadSeries(start_time=start_time, resolution=resolution,
                       values=np.maximum(block, 0.0).ravel())

@@ -78,6 +78,10 @@ MODES = ("baseline", "passive", "active")
 _ADMITS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
            "Optional[float]": numbers.Real, "tuple[int, ...]": numbers.Integral,
            "tuple[float, ...]": numbers.Real}
+# The least value of each integer setting.
+_INT_BOUNDS = {"input_len": 1, "hpo_initial_budget": 1, "hpo_adapt_budget": 1, "hpo_fit_epochs": 1,
+               "epochs_initial": 1, "epochs_incremental": 1, "batch_size": 1,
+               "seed": 0, "patience": 0, "max_gap": 0}
 
 
 @dataclass(frozen=True)
@@ -130,22 +134,14 @@ class RunConfig:
                 raise ConfigError(f"tau must lie in [0, 1], got {self.tau}")
         elif self.tau is not None:
             raise ConfigError(f"tau only applies to active mode, not {self.mode!r}")
-        for name in ("input_len", "hpo_initial_budget", "hpo_adapt_budget", "hpo_fit_epochs",
-                     "epochs_initial", "epochs_incremental", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.load_bandwidth <= 0:
-            raise ConfigError("load_bandwidth must be > 0")
-        if self.price_rate <= 0:
-            raise ConfigError("price_rate must be > 0")
-        if self.timing_coefficient < 0:
-            raise ConfigError("timing_coefficient must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in asdict(self).items()}
+        for name, least in _INT_BOUNDS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("load_bandwidth", "price_rate"):  # `not >` rejects NaN too
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.timing_coefficient >= 0:
+            raise ConfigError(f"timing_coefficient must be >= 0, got {self.timing_coefficient}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

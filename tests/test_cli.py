@@ -125,6 +125,8 @@ class TestSynthAndIngest:
         {"events": [{"day": 10, "kind": "mean_shift", "magnitude": "x"}]},
         {"base": [1]},
         {"events": [{"day": "5", "kind": "mean_shift", "magnitude": 1.0}]},
+        {"base": float("nan")},
+        {"events": [{"day": 5, "kind": "mean_shift", "magnitude": float("nan")}]},
     ])
     def test_synth_non_numeric_profile_value_is_config_error(self, workspace, override):
         bad_profile = workspace / "bad.json"
@@ -299,6 +301,11 @@ class TestRun:
         {"grid_points": 8},
         {"input_len": 0},
         {"timing_coefficient": -1},
+        {"timing_coefficient": float("nan")},
+        {"load_bandwidth": float("nan")},
+        {"price_rate": float("nan")},
+        {"patience": -1},
+        {"max_gap": -1},
         {"split": {"train_fraction": 1.5}},
         {"split": {"validation_fraction_of_train": 0.0}},
         {"split": []},

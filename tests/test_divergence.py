@@ -143,11 +143,6 @@ class TestJsd:
                                  bandwidth=p.bandwidth, n_samples=p.n_samples)
         assert jsd(p, nudged).value > 0.0
 
-    def test_grid_id_tags_the_shared_grid(self):
-        rng = np.random.default_rng(6)
-        p, q = random_kde_pair(rng)
-        assert jsd(p, q).grid_id == p.grid.key()
-
 
 class TestSqrtJsd:
     def test_square_root_relation_exact(self):

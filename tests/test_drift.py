@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from driftcast.density import KDE_CHUNK, estimate_kde, shared_grid
+from driftcast.density import KDE_CHUNK, Grid, estimate_kde, shared_grid
 from driftcast.divergence import sqrt_jsd
 from driftcast.drift import (
     advance,
@@ -112,6 +112,26 @@ class TestComputeDivergence:
         assert np.array_equal(state.divergence_history, before)
 
 
+def _three_branch_tail_mass(history, probe, bandwidth, domain=(0.0, 1.0), n_points=512):
+    """tail_mass as it was written before the probe was clamped: the ends as
+    their own branches, all mass at or below lo and none at or above hi."""
+    lo, hi = domain[0] - 5.0 * bandwidth, domain[1] + 5.0 * bandwidth
+    grid = Grid(lo=lo, hi=hi, n_points=n_points)
+    dens = estimate_kde(np.asarray(history, dtype=float), bandwidth, grid).density
+    pts = grid.points
+    if probe <= lo:
+        mass = float(np.trapezoid(dens, pts))
+    elif probe >= hi:
+        mass = 0.0
+    else:
+        k = int(np.searchsorted(pts, probe, side="left"))
+        mass = float(np.trapezoid(dens[k:], pts[k:])) if k < len(pts) else 0.0
+        if k > 0 and k < len(pts):
+            d_probe = float(np.interp(probe, pts, dens))
+            mass += 0.5 * (d_probe + dens[k]) * float(pts[k] - probe)
+    return float(min(max(mass, 0.0), 1.0))
+
+
 def _state_with_history(history, rng=None):
     rng = rng or np.random.default_rng(7)
     base = init_drift_state(stationary_days(rng, 2), load_bandwidth=1.0)
@@ -146,6 +166,20 @@ class TestPValue:
         # The [0,1] domain excludes kernel mass below 0, so tau=1 always fires.
         state = _state_with_history([0.4, 0.45, 0.5])
         assert p_value(state, 0.0) < 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tail_mass_matches_the_three_branch_form_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        history = rng.beta(2.0, 5.0, size=int(rng.integers(2, 60)))
+        bandwidth = float(rng.uniform(1e-3, 0.2))
+        lo, hi = -5.0 * bandwidth, 1.0 + 5.0 * bandwidth
+        points = Grid(lo=lo, hi=hi).points
+        probes = [lo - 1.0, lo - 1e-12, lo, *rng.uniform(lo, hi, 20), points[1], points[-2],
+                  0.0, 1.0, hi, hi + 1e-12, hi + 1.0]
+        for probe in probes:
+            got = tail_mass(history, float(probe), bandwidth)
+            want = _three_branch_tail_mass(history, float(probe), bandwidth)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), probe
 
     def test_empty_history_rejected(self):
         state = _state_with_history([])

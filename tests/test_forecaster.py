@@ -793,3 +793,13 @@ class TestStackedMembers:
             assert got.weights.flat.tobytes() == train(model, windows, val,
                                                        epochs=2).weights.flat.tobytes()
             assert got.weights.flat.base is None  # it owns its row, not the whole stack
+
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (5,)])
+    def test_member_mse_matches_the_per_member_loop_bitwise(self, lead):
+        from driftcast.forecaster import _member_mse
+
+        rng = np.random.default_rng(18)
+        for batch, horizon in [(1, 1), (7, 6), (32, 6), (599, 12), (130, 1)]:
+            diff = rng.normal(size=(*lead, batch, horizon))
+            loop = [float(np.mean(m)) for m in (diff * diff).reshape(-1, batch, horizon)]
+            assert _member_mse(diff).tobytes() == np.array(loop).tobytes()

@@ -352,6 +352,16 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="noise_sd"):
             generate_synthetic(DailyProfile(), [], noise_sd=noise_sd, seed=0, n_days=2)
 
+    @pytest.mark.parametrize("profile,events", [
+        (DailyProfile(base=float("nan")), []),
+        (DailyProfile(peaks=((8.0, 2.0, float("inf")),)), []),
+        (DailyProfile(), [DriftEvent(day=5, kind="mean_shift", magnitude=float("nan"))]),
+        (DailyProfile(), [DriftEvent(day=5, kind="scale_shift", magnitude=float("inf"))]),
+    ], ids=["nan_base", "inf_peak", "nan_shift", "inf_scale"])
+    def test_non_finite_profile_or_event_rejected(self, profile, events):
+        with pytest.raises(ValueError, match="non-finite"):
+            generate_synthetic(profile, events, noise_sd=0.5, seed=0, n_days=10)
+
     def test_event_day_must_be_a_whole_number(self):
         def shifted(day):
             return generate_synthetic(DailyProfile(),

@@ -57,7 +57,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         config = _small_config("active", tau=0.1)
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
