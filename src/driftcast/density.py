@@ -22,11 +22,6 @@ GRID_PAD_BANDWIDTHS = 5.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# estimate_kde sums the kernel rows in chunks of this many samples and adds
-# the chunk sums in order; a running pool sum must close its chunks at the
-# same boundaries to reproduce it bit for bit.
-KDE_CHUNK = 4096
-
 # Kernel rows evaluated at once; bounds each temporary to about 1 MB at 512
 # grid points.
 _KERNEL_BLOCK = 256
@@ -111,16 +106,10 @@ def estimate_kde(values, bandwidth: float, grid: Grid) -> DensityEstimate:
         raise EmptyInput("cannot estimate a density from no samples")
     if not bandwidth > 0:
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-
-    pts = grid.points
-    acc = np.zeros(grid.n_points)
-    for start in range(0, v.size, KDE_CHUNK):
-        acc += kernel_sum(v[start : start + KDE_CHUNK], bandwidth, pts)
-    return density_from_sum(acc, int(v.size), bandwidth, grid)
+    return density_from_sum(kernel_sum(v, bandwidth, grid.points), int(v.size), bandwidth, grid)
 
 
-def shared_grid(values_a, values_b, bandwidth: float,
-                n_points: int = DEFAULT_GRID_POINTS) -> Grid:
+def shared_grid(values_a, values_b, bandwidth: float) -> Grid:
     """Grid covering both samples, padded by 5 bandwidths on each side."""
     a = np.asarray(values_a, dtype=float).ravel()
     b = np.asarray(values_b, dtype=float).ravel()
@@ -130,7 +119,7 @@ def shared_grid(values_a, values_b, bandwidth: float,
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     lo = float(min(a.min(), b.min()) - GRID_PAD_BANDWIDTHS * bandwidth)
     hi = float(max(a.max(), b.max()) + GRID_PAD_BANDWIDTHS * bandwidth)
-    return Grid(lo=lo, hi=hi, n_points=n_points)
+    return Grid(lo=lo, hi=hi)
 
 
 def silverman_bandwidth(values) -> float:

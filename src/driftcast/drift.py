@@ -7,10 +7,10 @@ and a drift fires when it drops below the significance level tau. No fixed
 divergence threshold is ever set; the history distribution evolves as every
 day (drift or not) appends its divergence.
 
-The state holds the pool once, inside its kernel sum on the pool's own
-padded grid, split into estimate_kde's chunks, so a day inside the pool's
-range costs O(readings per day x grid) however long the history, and every
-divergence is bit-for-bit the one estimate_kde over the whole pool gives.
+The state holds the pool once, inside its in-order running kernel sum on
+the pool's own padded grid, so a day inside the pool's range costs
+O(readings per day x grid) however long the history, and every divergence
+is bit-for-bit the one estimate_kde over the whole pool gives.
 """
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import (
-    DEFAULT_GRID_POINTS,
-    KDE_CHUNK,
     Grid,
     density_from_sum,
     estimate_kde,
@@ -42,36 +40,22 @@ _HISTORY_DOMAIN = (0.0, 1.0)
 
 @dataclass(frozen=True, eq=False)
 class PoolSums:
-    """Kernel sums of one reference pool on one grid.
+    """The kernel sum of one reference pool on one grid, its rows added in
+    pool order as estimate_kde adds them."""
 
-    They are split as estimate_kde splits its sum: `closed` adds the sums of
-    the full KDE_CHUNK-sample chunks in order, `open` is the row-by-row sum
-    of the last, partial chunk (None when the pool fills whole chunks).
-    """
-
-    pool: np.ndarray  # the exact array these sums describe
+    pool: np.ndarray  # the exact array `total` describes
     grid: Grid
-    closed: np.ndarray
-    open: Optional[np.ndarray]
+    total: np.ndarray
     _regridded: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, pool: np.ndarray, load_bandwidth: float, grid: Grid,
               previous: Optional["PoolSums"] = None) -> "PoolSums":
-        """Sums of `pool` on `grid`, extending `previous` (the sums of a
+        """The sum of `pool` on `grid`, extending `previous` (the sum of a
         prefix of the pool on `grid`) or summed from the first reading."""
-        if previous is not None:
-            closed, open_, done = previous.closed, previous.open, previous.pool.size
-        else:
-            closed, open_, done = np.zeros(grid.n_points), None, 0
-        points = grid.points
-        while done < pool.size:
-            stop = min(pool.size, (done // KDE_CHUNK + 1) * KDE_CHUNK)
-            open_ = kernel_sum(pool[done:stop], load_bandwidth, points, open_)
-            done = stop
-            if done % KDE_CHUNK == 0:
-                closed, open_ = closed + open_, None
-        return cls(pool=pool, grid=grid, closed=closed, open=open_)
+        done, start = (0, None) if previous is None else (previous.pool.size, previous.total)
+        return cls(pool=pool, grid=grid,
+                   total=kernel_sum(pool[done:], load_bandwidth, grid.points, start))
 
     def on_grid(self, grid: Grid, load_bandwidth: float) -> "PoolSums":
         """The same pool's sums on `grid`, summed at most once per grid.
@@ -86,9 +70,6 @@ class PoolSums:
             self._regridded[grid] = PoolSums.build(self.pool, load_bandwidth, grid)
         return self._regridded[grid]
 
-    def total(self) -> np.ndarray:
-        return self.closed if self.open is None else self.closed + self.open
-
 
 @dataclass(frozen=True)
 class DriftState:
@@ -98,7 +79,6 @@ class DriftState:
     pool_sums: PoolSums
     divergence_history: np.ndarray
     load_bandwidth: float
-    grid_points: int = DEFAULT_GRID_POINTS
 
     @property
     def reference_readings(self) -> np.ndarray:
@@ -114,8 +94,7 @@ class DriftDecision:
     tau: float
 
 
-def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
-                     grid_points: int = DEFAULT_GRID_POINTS) -> DriftState:
+def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float) -> DriftState:
     """Seed the detector from d training days.
 
     Runs the live detector over the training days: day k is compared with
@@ -126,11 +105,10 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float,
         raise InsufficientHistory(f"need at least 2 training days, got {len(train_days)}")
 
     first = train_days[0].readings
-    grid = shared_grid(first, first, load_bandwidth, grid_points)
+    grid = shared_grid(first, first, load_bandwidth)
     state = DriftState(pool_sums=PoolSums.build(first, load_bandwidth, grid),
                        divergence_history=np.empty(0),
-                       load_bandwidth=load_bandwidth,
-                       grid_points=grid_points)
+                       load_bandwidth=load_bandwidth)
     for day in train_days[1:]:
         state = advance(state, day, compute_divergence(state, day))
     return state
@@ -143,16 +121,15 @@ def compute_divergence(state: DriftState, new_day: DaySample) -> float:
     when the day sets a new extreme; it has estimate_kde's bits.
     """
     pool = state.reference_readings
-    grid = shared_grid(new_day.readings, pool, state.load_bandwidth, state.grid_points)
-    pool_kde = density_from_sum(state.pool_sums.on_grid(grid, state.load_bandwidth).total(),
+    grid = shared_grid(new_day.readings, pool, state.load_bandwidth)
+    pool_kde = density_from_sum(state.pool_sums.on_grid(grid, state.load_bandwidth).total,
                                 int(pool.size), state.load_bandwidth, grid)
     div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
     return div.value
 
 
 def tail_mass(history, probe: float, bandwidth: float,
-              domain: tuple[float, float] = _HISTORY_DOMAIN,
-              n_points: int = DEFAULT_GRID_POINTS) -> float:
+              domain: tuple[float, float] = _HISTORY_DOMAIN) -> float:
     """Upper-tail mass of the history KDE at `probe`, clamped to [0, 1].
 
     Trapezoid rule on the padded domain grid from the probe, clamped into the
@@ -163,7 +140,7 @@ def tail_mass(history, probe: float, bandwidth: float,
         raise EmptyHistory("no divergence history recorded yet")
     lo = domain[0] - 5.0 * bandwidth
     hi = domain[1] + 5.0 * bandwidth
-    grid = Grid(lo=lo, hi=hi, n_points=n_points)
+    grid = Grid(lo=lo, hi=hi)
     dens = estimate_kde(values, bandwidth, grid).density
     pts = grid.points
 
@@ -187,7 +164,7 @@ def p_value(state: DriftState, divergence: float) -> float:
     history = state.divergence_history
     if history.size == 0:
         raise EmptyHistory("no divergence history recorded yet")
-    p = tail_mass(history, divergence, silverman_bandwidth(history), n_points=state.grid_points)
+    p = tail_mass(history, divergence, silverman_bandwidth(history))
     return min(p, _P_CAP)
 
 
@@ -213,7 +190,7 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
     if not 0.0 <= divergence <= 1.0:
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
     pool = np.concatenate([state.reference_readings, new_day.readings])
-    grid = shared_grid(pool, pool, state.load_bandwidth, state.grid_points)
+    grid = shared_grid(pool, pool, state.load_bandwidth)
     previous = state.pool_sums.on_grid(grid, state.load_bandwidth)
     return replace(state,
                    divergence_history=np.append(state.divergence_history, divergence),

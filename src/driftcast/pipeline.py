@@ -15,6 +15,7 @@ day like the passive mode.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,7 +23,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Grid
 from .drift import DriftDecision, advance, decide, init_drift_state
 from .errors import ConfigError, MismatchedRuns, ZeroActual
 from .evaluation import (
@@ -89,7 +89,6 @@ class RunConfig:
     mode: str = "baseline"
     tau: Optional[float] = None
     load_bandwidth: float = 10.0
-    grid_points: int = 512
     split: SplitSpec = field(default_factory=SplitSpec)
     input_len: int = DEFAULT_INPUT_LEN
     hpo_initial_budget: int = 15
@@ -121,10 +120,6 @@ class RunConfig:
             SearchSpace(self.learning_rates, self.dropout_rates, self.n_units_values).all_points()
         except ValueError as exc:
             raise ConfigError(f"bad search space: {exc}") from None
-        try:  # the detector grid's own rule on its point count
-            Grid(0.0, 1.0, self.grid_points)
-        except ValueError as exc:
-            raise ConfigError(f"bad grid_points: {exc}") from None
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "active":
@@ -138,10 +133,12 @@ class RunConfig:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("load_bandwidth", "price_rate"):  # `not >` rejects NaN too
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.timing_coefficient >= 0:
-            raise ConfigError(f"timing_coefficient must be >= 0, got {self.timing_coefficient}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        value = self.timing_coefficient
+        if not (value >= 0 and math.isfinite(value)):
+            raise ConfigError(f"timing_coefficient must be finite and >= 0, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -373,8 +370,7 @@ def run(config: RunConfig, series: LoadSeries) -> EvaluationReport:
 
     active = config.mode == "active"
     if active:  # baseline and passive never build or consult the detector
-        state = init_drift_state(prep.pretest_days, config.load_bandwidth,
-                                 grid_points=config.grid_points)
+        state = init_drift_state(prep.pretest_days, config.load_bandwidth)
     context = np.concatenate([d.readings for d in prep.pretest_days])[-config.input_len:]
     daily_errors: list[DailyError] = []
     decisions: list[DriftDecision] = []

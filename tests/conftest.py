@@ -37,12 +37,12 @@ def exact_gaussian(grid: Grid, mu: float, sigma: float) -> DensityEstimate:
     return DensityEstimate(grid=grid, density=density, bandwidth=sigma, n_samples=0)
 
 
-def random_kde_pair(rng: np.random.Generator, n_points: int = 512):
+def random_kde_pair(rng: np.random.Generator):
     """Two KDEs of nearby random samples on one shared grid."""
     a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=40)
     b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=40)
     bw = rng.uniform(0.3, 1.5)
-    grid = shared_grid(a, b, bw, n_points)
+    grid = shared_grid(a, b, bw)
     return estimate_kde(a, bw, grid), estimate_kde(b, bw, grid)
 
 

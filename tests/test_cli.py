@@ -304,6 +304,9 @@ class TestRun:
         {"timing_coefficient": float("nan")},
         {"load_bandwidth": float("nan")},
         {"price_rate": float("nan")},
+        {"timing_coefficient": float("inf")},
+        {"load_bandwidth": float("inf")},
+        {"price_rate": float("inf")},
         {"patience": -1},
         {"max_gap": -1},
         {"split": {"train_fraction": 1.5}},

@@ -6,7 +6,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from driftcast.density import KDE_CHUNK, Grid, estimate_kde, shared_grid
+from driftcast.density import Grid, estimate_kde, shared_grid
 from driftcast.divergence import sqrt_jsd
 from driftcast.drift import (
     advance,
@@ -98,8 +98,7 @@ class TestComputeDivergence:
         rng = np.random.default_rng(5)
         state = init_drift_state(stationary_days(rng, 5), load_bandwidth=1.0)
         new_day = make_day(5, rng.normal(11.0, 1.0, 144))
-        grid = shared_grid(new_day.readings, state.reference_readings, 1.0,
-                           state.grid_points)
+        grid = shared_grid(new_day.readings, state.reference_readings, 1.0)
         direct = sqrt_jsd(estimate_kde(new_day.readings, 1.0, grid),
                           estimate_kde(state.reference_readings, 1.0, grid))
         assert compute_divergence(state, new_day) == direct.value
@@ -299,9 +298,9 @@ class TestStreamProperties:
 # --- pool sums ----------------------------------------------------------------
 #
 # The detector holds the pool inside its running kernel sum. These tests hold
-# it to estimate_kde over the whole pool bit for bit: a stream longer than one
-# KDE_CHUNK with the chunk boundary inside a day, days that set new pool
-# extremes, and a mean shift.
+# it to estimate_kde over the whole pool bit for bit: a pool that crosses 4,096
+# readings inside a day (so a chunked sum in only one of the two fails), days
+# that set new pool extremes, and a mean shift.
 
 def _cache_stream():
     rng = np.random.default_rng(30)
@@ -318,7 +317,7 @@ def _cache_stream():
 
 
 def _exact_divergence(pool, readings, bandwidth=1.0):
-    grid = shared_grid(readings, pool, bandwidth, 512)
+    grid = shared_grid(readings, pool, bandwidth)
     return sqrt_jsd(estimate_kde(readings, bandwidth, grid),
                     estimate_kde(pool, bandwidth, grid)).value
 
@@ -326,19 +325,17 @@ def _exact_divergence(pool, readings, bandwidth=1.0):
 class TestPoolCache:
     def test_stream_exercises_every_path(self):
         days = _cache_stream()
-        assert KDE_CHUNK % 144 != 0 and len(days) * 144 > KDE_CHUNK
+        assert 4096 % 144 != 0 and len(days) * 144 > 4096
         state = init_drift_state(days[:2], load_bandwidth=1.0)
         hits = misses = 0
         for day in days[2:]:
-            grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
+            grid = shared_grid(day.readings, state.reference_readings, 1.0)
             if state.pool_sums.grid == grid:
                 hits += 1
             else:
                 misses += 1
             state = advance(state, day, compute_divergence(state, day))
-        sums = state.pool_sums
         assert hits > 20 and misses >= 3
-        assert sums.open is not None and np.any(sums.closed > 0)
 
     def test_init_matches_exact_prefix_loop_bitwise(self):
         days = _cache_stream()
@@ -388,7 +385,7 @@ class TestPoolCache:
         days = _cache_stream()
         state = init_drift_state(days[:12], load_bandwidth=1.0)
         day = days[12]  # sets a new pool maximum
-        grid = shared_grid(day.readings, state.reference_readings, 1.0, 512)
+        grid = shared_grid(day.readings, state.reference_readings, 1.0)
         assert state.pool_sums.grid != grid
         pool_size = state.reference_readings.size
         rows.clear()
@@ -404,10 +401,9 @@ class TestPoolCache:
         days = _cache_stream()
         state = init_drift_state(days[:5], load_bandwidth=1.0)
         sums = state.pool_sums
-        before = (sums.closed.copy(), None if sums.open is None else sums.open.copy())
+        before = sums.total.copy()
         advance(state, days[5], 0.1)
-        assert np.array_equal(sums.closed, before[0])
-        assert before[1] is None or np.array_equal(sums.open, before[1])
+        assert sums.total.tobytes() == before.tobytes()
 
 
 def test_numpy_axis0_sum_adds_rows_in_order():

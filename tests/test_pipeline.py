@@ -238,9 +238,11 @@ class TestFailFast:
         assert len(prepare_run(baseline, _small_series(n_days=26)).val_windows) > 0
 
     @pytest.mark.parametrize("override,match", [
-        (dict(grid_points=8), "grid_points"),
         (dict(input_len=0), "input_len"),
         (dict(timing_coefficient=-1.0), "timing_coefficient"),
+        (dict(timing_coefficient=float("inf")), "timing_coefficient"),
+        (dict(load_bandwidth=float("inf")), "load_bandwidth"),
+        (dict(price_rate=float("inf")), "price_rate"),
     ])
     def test_out_of_range_value_rejected_before_search(self, monkeypatch, override, match):
         self._no_search(monkeypatch)

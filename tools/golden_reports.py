@@ -7,7 +7,9 @@
 under deterministic timing, so two trees that compute the same bits write the
 same bytes. `compare` reruns the matrix and exits 1 naming every case whose
 report differs from, or is missing in, DIR, or does not read back to the
-same bytes through `EvaluationReport.from_json`.
+same bytes through `EvaluationReport.from_json`. For each JSON file that
+differs it also prints the paths that differ, list indices shown as `[*]`, with
+how many values moved on each and the largest gap between two numbers.
 
 The matrix: 26-day and 120-day synthetic streams (seeds 0-1) in baseline,
 passive and active mode at tau 0.15, 0 and 1; passive runs that tune three
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -151,6 +154,38 @@ def ingest_cases():
                 }, indent=2).encode()
 
 
+def leaf_diffs(old, new, path=""):
+    """(path, gap) for each leaf where two JSON values differ: gap is |new - old|
+    when both are numbers (not bools), else None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from leaf_diffs(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from leaf_diffs(a, b, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (old, new))
+        yield path, abs(new - old) if numbers else None
+
+
+def describe_diff(old: bytes, new: bytes) -> list[str]:
+    """One line per differing path of two JSON files, then the largest numeric gap;
+    nothing when either is not JSON."""
+    try:
+        diffs = list(leaf_diffs(json.loads(old), json.loads(new)))
+    except ValueError:
+        return []
+    by_path: dict[str, list] = {}
+    for path, gap in diffs:
+        by_path.setdefault(re.sub(r"\[\d+\]", "[*]", path), []).append(gap)
+    lines = [f"  {path}: {len(gaps)} value(s)"
+             + ("" if None in gaps else f", largest gap {max(gaps):.3g}")
+             for path, gaps in by_path.items()]
+    gaps = [gap for _, gap in diffs if gap is not None]
+    return lines + ([f"  largest numeric gap {max(gaps):.3g}"] if gaps else [])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("action", choices=["capture", "compare"])
@@ -167,7 +202,8 @@ def main(argv=None) -> int:
         elif not path.is_file():
             differing.append(f"{name}: no golden file")
         elif path.read_bytes() != data:
-            differing.append(f"{name}: differs")
+            differing.append("\n".join([f"{name}: differs",
+                                        *describe_diff(path.read_bytes(), data)]))
         print(f"{name}: {'written' if args.action == 'capture' else 'checked'}", flush=True)
 
     for name, config, series in cases():
