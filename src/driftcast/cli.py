@@ -12,7 +12,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .errors import ConfigError, DriftcastError, InputError
+from .errors import ConfigError, DriftcastError, InputError, NegativeDuration
 from .evaluation import EvaluationReport
 from .ingest import (
     DailyProfile,
@@ -148,7 +148,7 @@ def _cmd_run(args) -> int:
 def _load_report(path: str) -> EvaluationReport:
     try:
         return EvaluationReport.from_json(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, NegativeDuration) as exc:  # JSONDecodeError too
         raise InputError(f"{path} is not a valid report: {exc}") from None
 
 

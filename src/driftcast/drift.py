@@ -7,17 +7,17 @@ and a drift fires when it drops below the significance level tau. No fixed
 divergence threshold is ever set; the history distribution evolves as every
 day (drift or not) appends its divergence.
 
-The state holds the pool once, inside its in-order running kernel sum on
-the pool's own padded grid, so a day inside the pool's range costs
-O(readings per day x grid) however long the history, and every divergence
-is bit-for-bit the one estimate_kde over the whole pool gives.
+One DriftState holds the pool with its in-order kernel sum on the pool's
+own padded grid, the history and the load bandwidth. A day inside the pool's
+range costs O(readings per day x grid) however long the history, and every
+divergence is bit-for-bit the one estimate_kde over the whole pool gives.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,50 +39,32 @@ _HISTORY_DOMAIN = (0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
-class PoolSums:
-    """The kernel sum of one reference pool on one grid, its rows added in
-    pool order as estimate_kde adds them."""
-
-    pool: np.ndarray  # the exact array `total` describes
-    grid: Grid
-    total: np.ndarray
-    _regridded: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def build(cls, pool: np.ndarray, load_bandwidth: float, grid: Grid,
-              previous: Optional["PoolSums"] = None) -> "PoolSums":
-        """The sum of `pool` on `grid`, extending `previous` (the sum of a
-        prefix of the pool on `grid`) or summed from the first reading."""
-        done, start = (0, None) if previous is None else (previous.pool.size, previous.total)
-        return cls(pool=pool, grid=grid,
-                   total=kernel_sum(pool[done:], load_bandwidth, grid.points, start))
-
-    def on_grid(self, grid: Grid, load_bandwidth: float) -> "PoolSums":
-        """The same pool's sums on `grid`, summed at most once per grid.
-
-        A day that sets a new pool extreme asks for the pool on the grid
-        that the pool extended by that day will have: first for the
-        divergence, then to extend into the new pool's sums.
-        """
-        if grid == self.grid:
-            return self
-        if grid not in self._regridded:
-            self._regridded[grid] = PoolSums.build(self.pool, load_bandwidth, grid)
-        return self._regridded[grid]
-
-
-@dataclass(frozen=True)
 class DriftState:
-    """Reference readings pool, held once in its kernel sums, plus the
-    evolving divergence history."""
+    """The reference pool, held once with its kernel sum, and the divergence history."""
 
-    pool_sums: PoolSums
+    pool: np.ndarray  # the exact array `pool_sum` describes
+    grid: Grid
+    pool_sum: np.ndarray  # the pool's kernel rows on `grid`, added in pool order
     divergence_history: np.ndarray
     load_bandwidth: float
+    _regridded: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def reference_readings(self) -> np.ndarray:
-        return self.pool_sums.pool
+        return self.pool
+
+    def sum_on(self, grid: Grid) -> np.ndarray:
+        """The pool's kernel sum on `grid`, summed at most once per grid.
+
+        A day that sets a new pool extreme asks for the pool on the grid
+        that the pool extended by that day will have: first for the
+        divergence, then to extend into the new pool's sum.
+        """
+        if grid == self.grid:
+            return self.pool_sum
+        if grid not in self._regridded:
+            self._regridded[grid] = kernel_sum(self.pool, self.load_bandwidth, grid.points)
+        return self._regridded[grid]
 
 
 @dataclass(frozen=True)
@@ -106,9 +88,9 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float) -> 
 
     first = train_days[0].readings
     grid = shared_grid(first, first, load_bandwidth)
-    state = DriftState(pool_sums=PoolSums.build(first, load_bandwidth, grid),
-                       divergence_history=np.empty(0),
-                       load_bandwidth=load_bandwidth)
+    state = DriftState(pool=first, grid=grid,
+                       pool_sum=kernel_sum(first, load_bandwidth, grid.points),
+                       divergence_history=np.empty(0), load_bandwidth=load_bandwidth)
     for day in train_days[1:]:
         state = advance(state, day, compute_divergence(state, day))
     return state
@@ -117,13 +99,12 @@ def init_drift_state(train_days: Sequence[DaySample], load_bandwidth: float) -> 
 def compute_divergence(state: DriftState, new_day: DaySample) -> float:
     """sqrt-JSD between the new day and the full reference pool.
 
-    The pool's KDE comes from the pool's sums, moved onto the shared grid
+    The pool's KDE comes from the pool's sum, moved onto the shared grid
     when the day sets a new extreme; it has estimate_kde's bits.
     """
-    pool = state.reference_readings
-    grid = shared_grid(new_day.readings, pool, state.load_bandwidth)
-    pool_kde = density_from_sum(state.pool_sums.on_grid(grid, state.load_bandwidth).total,
-                                int(pool.size), state.load_bandwidth, grid)
+    grid = shared_grid(new_day.readings, state.pool, state.load_bandwidth)
+    pool_kde = density_from_sum(state.sum_on(grid), int(state.pool.size),
+                                state.load_bandwidth, grid)
     div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
     return div.value
 
@@ -183,15 +164,16 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
 
     Runs on every day, drift or not: the history distribution must keep
     evolving or the test never adapts to the stream's own variability.
-    The pool's kernel sums are extended by the day's readings; when the day
-    moves the pool's minimum or maximum they are first moved onto the new
-    grid, which compute_divergence has usually done already.
+    The pool's kernel sum is extended by the day's readings; when the day
+    moves the pool's minimum or maximum it is first moved onto the new grid,
+    which compute_divergence has usually done already.
     """
     if not 0.0 <= divergence <= 1.0:
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
-    pool = np.concatenate([state.reference_readings, new_day.readings])
-    grid = shared_grid(pool, pool, state.load_bandwidth)
-    previous = state.pool_sums.on_grid(grid, state.load_bandwidth)
-    return replace(state,
-                   divergence_history=np.append(state.divergence_history, divergence),
-                   pool_sums=PoolSums.build(pool, state.load_bandwidth, grid, previous))
+    h = state.load_bandwidth
+    pool = np.concatenate([state.pool, new_day.readings])
+    grid = shared_grid(pool, pool, h)
+    return DriftState(pool=pool, grid=grid,
+                      pool_sum=kernel_sum(new_day.readings, h, grid.points, state.sum_on(grid)),
+                      divergence_history=np.append(state.divergence_history, divergence),
+                      load_bandwidth=h)

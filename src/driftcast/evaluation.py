@@ -209,6 +209,8 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvaluationReport":
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         if data.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {data.get('schema_version')}")
         return _record(cls, data)

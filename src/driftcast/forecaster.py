@@ -51,8 +51,8 @@ class Hyperparameters:
     n_units: int
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.n_units < 1:

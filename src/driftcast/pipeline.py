@@ -269,28 +269,27 @@ def _search(config: RunConfig, space: SearchSpace, budget: int, seed: int, fit,
             epochs: int, windows: int):
     """`optimize` whose first call for a seeding point of at most _STACK_MAX_UNITS
     units has `fit` train its same-width seeding group as one stack, giving each
-    member's (score, result); the group's later calls read the cache. Keeps only
-    the best result (lowest score, ties to the earliest trial, as optimize's min).
+    member's (score, result), held until its own trial. A trial's result replaces
+    the kept one only on a lower score: ties go to the earliest, as optimize's min.
 
     Returns the best hyperparameters, their score, their result and the
     search's duration, charged as `epochs` over `windows` windows per trial.
     """
     started = time.perf_counter()
-    seeding, scores, best = seeding_points(space, budget, seed), {}, {}
+    seeding, pending, best = seeding_points(space, budget, seed), {}, {}
 
     def objective(hp: Hyperparameters) -> float:
-        if hp not in scores:
+        if hp not in pending:
             stacked = hp in seeding and hp.n_units <= _STACK_MAX_UNITS
             group = [p for p in seeding if p.n_units == hp.n_units] if stacked else [hp]
-            for point, (score, result) in zip(group, fit(group)):
-                scores[point] = score
-                key = (score, seeding.index(point) if point in seeding else len(seeding))
-                if not best or key < best["key"]:
-                    best.update(key=key, result=result)
-        return scores[hp]
+            pending.update(zip(group, fit(group)))
+        score, result = pending.pop(hp)
+        if not best or score < best["score"]:
+            best.update(score=score, result=result)
+        return score
 
     best_hp, trials = optimize(objective, space, budget=budget, seed=seed)
-    return (best_hp, min(t.score for t in trials), best["result"],
+    return (best_hp, best["score"], best["result"],
             _charge(config, started, epochs, windows, len(trials)))
 
 

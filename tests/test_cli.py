@@ -1,12 +1,12 @@
 """CLI subcommands, config handling and exit codes."""
 import json
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
 from driftcast.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
-from driftcast.evaluation import EvaluationReport
+from driftcast.evaluation import CostEntry, DailyError, EvaluationReport
 from driftcast.ingest import parse_load_csv
 
 RUN_CONFIG = {
@@ -323,6 +323,8 @@ class TestRun:
         {"horizon": 6},
         {"use_rank_fallback": False},
         {"epsilon_zero": 1e-6},
+        {"learning_rates": [float("nan")]},
+        {"learning_rates": [float("inf")]},
     ])
     def test_bad_search_space_or_numeric_value_fails_before_search(
             self, workspace, monkeypatch, override):
@@ -399,6 +401,29 @@ class TestRun:
         assert searched == []
 
 
+def _small_report(**changes) -> dict:
+    """A valid one-day report as JSON data, with top-level `changes`."""
+    day = date(2024, 1, 1)
+    report = EvaluationReport(
+        mode="baseline", tau=None, series_sha256="0" * 64, seed=0, split={},
+        daily_errors=(DailyError(day, 1.0, 0.5),), mean_mape=1.0, std_mape=0.0,
+        mean_rmse=0.5, std_rmse=0.0, drift_decisions=(), adaptation_count=0,
+        price_rate=0.027, cost_entries=(CostEntry(day, "initial_training", 1.0),))
+    return {**report.to_dict(), **changes}
+
+
+_GARBAGE_REPORTS = {
+    "not-json": "{not json",
+    "list": "[]",
+    "string": '"text"',
+    "daily-errors-int": json.dumps(_small_report(daily_errors=5)),
+    "day-index-int": json.dumps(_small_report(
+        daily_errors=[{"day_index": 5, "mape": 1.0, "rmse": 0.5}])),
+    "negative-duration": json.dumps(_small_report(cost_entries=[
+        {"day_index": "2024-01-01", "kind": "initial_training", "duration_seconds": -1.0}])),
+}
+
+
 class TestCompareAndReport:
     def _two_reports(self, workspace):
         series = _synth(workspace)
@@ -444,18 +469,22 @@ class TestCompareAndReport:
         assert csv_text.startswith("day_index,mape,rmse")
         assert len(csv_text.strip().splitlines()) == 4  # header + 3 test days
 
-    def test_report_on_garbage_is_input_error(self, workspace, capsys):
+    @pytest.mark.parametrize("garbage_text", _GARBAGE_REPORTS.values(), ids=_GARBAGE_REPORTS)
+    def test_report_on_garbage_is_input_error(self, workspace, capsys, garbage_text):
         garbage = workspace / "garbage.json"
-        garbage.write_text("{not json")
+        garbage.write_text(garbage_text)
         assert main(["report", "--in", str(garbage)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"{garbage} is not a valid report" in err
         assert "line 0" not in err
 
-    def test_compare_with_a_garbage_candidate_is_input_error(self, workspace, capsys):
-        base_out, _ = self._two_reports(workspace)
+    @pytest.mark.parametrize("garbage_text", _GARBAGE_REPORTS.values(), ids=_GARBAGE_REPORTS)
+    def test_compare_with_a_garbage_candidate_is_input_error(self, workspace, capsys,
+                                                             garbage_text):
+        base_out = workspace / "base.json"
+        base_out.write_text(json.dumps(_small_report()))
         garbage = workspace / "garbage.json"
-        garbage.write_text("{not json")
+        garbage.write_text(garbage_text)
         assert main(["compare", "--baseline", str(base_out),
                      "--candidate", str(garbage)]) == EXIT_INPUT
         err = capsys.readouterr().err

@@ -330,7 +330,7 @@ class TestPoolCache:
         hits = misses = 0
         for day in days[2:]:
             grid = shared_grid(day.readings, state.reference_readings, 1.0)
-            if state.pool_sums.grid == grid:
+            if state.grid == grid:
                 hits += 1
             else:
                 misses += 1
@@ -363,7 +363,7 @@ class TestPoolCache:
     def test_pool_cannot_be_replaced_apart_from_its_sums(self):
         rng = np.random.default_rng(31)
         state = init_drift_state(stationary_days(rng, 3), load_bandwidth=1.0)
-        assert state.reference_readings is state.pool_sums.pool
+        assert state.reference_readings is state.pool
         with pytest.raises(TypeError):
             dataclasses.replace(state, reference_readings=state.reference_readings + 5.0)
 
@@ -386,24 +386,23 @@ class TestPoolCache:
         state = init_drift_state(days[:12], load_bandwidth=1.0)
         day = days[12]  # sets a new pool maximum
         grid = shared_grid(day.readings, state.reference_readings, 1.0)
-        assert state.pool_sums.grid != grid
+        assert state.grid != grid
         pool_size = state.reference_readings.size
         rows.clear()
         decision = decide(state, day, 0.1)
         advanced = advance(state, day, decision.divergence)
         assert sum(rows) == (pool_size + 2 * day.readings.size
                              + state.divergence_history.size)
-        assert advanced.pool_sums.grid == grid
+        assert advanced.grid == grid
         assert decision.divergence == _exact_divergence(state.reference_readings,
                                                         day.readings)
 
     def test_advance_leaves_the_old_cache_untouched(self):
         days = _cache_stream()
         state = init_drift_state(days[:5], load_bandwidth=1.0)
-        sums = state.pool_sums
-        before = sums.total.copy()
+        before = state.pool_sum.copy()
         advance(state, days[5], 0.1)
-        assert sums.total.tobytes() == before.tobytes()
+        assert state.pool_sum.tobytes() == before.tobytes()
 
 
 def test_numpy_axis0_sum_adds_rows_in_order():

@@ -243,6 +243,8 @@ class TestFailFast:
         (dict(timing_coefficient=float("inf")), "timing_coefficient"),
         (dict(load_bandwidth=float("inf")), "load_bandwidth"),
         (dict(price_rate=float("inf")), "price_rate"),
+        (dict(learning_rates=(float("nan"),)), "learning_rate"),
+        (dict(learning_rates=(float("inf"),)), "learning_rate"),
     ])
     def test_out_of_range_value_rejected_before_search(self, monkeypatch, override, match):
         self._no_search(monkeypatch)

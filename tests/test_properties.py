@@ -326,9 +326,9 @@ def _segment_days_per_slot(series: LoadSeries) -> DaySegmentation:
        st.integers(min_value=0, max_value=86_399), st.booleans(),
        st.integers(min_value=1, max_value=500))
 def test_segmentation_matches_the_per_slot_reference(resolution, zone, day, seconds,
-                                                     on_grid, n):
+                                                     aligned, n):
     # Any second of the day; half the cases are moved down onto the grid.
-    if on_grid:
+    if aligned:
         seconds -= seconds % int(resolution.total_seconds())
     start = datetime.combine(day, datetime.min.time(), zone) + timedelta(seconds=seconds)
     series = LoadSeries(start_time=start, resolution=resolution,
