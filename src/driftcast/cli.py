@@ -70,7 +70,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`; anything else is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
 def _cmd_ingest(args) -> int:
+    RunConfig(max_gap=args.max_gap)  # a gap bound that a run rejects is a config error
     series = parse_load_csv(args.csv)
     filled = resample_and_fill(series, args.max_gap)
     segmentation = segment_days(filled)
@@ -85,12 +97,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        spec = json.loads(Path(args.profile).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"profile config is not valid JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"profile config must be a JSON object, got {spec!r}")
+    spec = _read_object(args.profile, "profile config")
     if set(spec) - _PROFILE_KEYS:
         raise ConfigError(f"unknown profile keys: {sorted(set(spec) - _PROFILE_KEYS)}")
     try:
@@ -116,25 +123,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config_data = {}
-    if args.config:
-        try:
-            config_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(config_data, dict):
-            raise ConfigError(f"config must be a JSON object, got {config_data!r}")
-    if args.mode is not None:
-        config_data["mode"] = args.mode
-    if args.tau is not None:
-        config_data["tau"] = args.tau
-    if args.seed is not None:
-        config_data["seed"] = args.seed
-    try:
-        config = RunConfig.from_dict(config_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    config.validate()
+    config_data = _read_object(args.config, "config") if args.config else {}
+    flags = {"mode": args.mode, "tau": args.tau, "seed": args.seed}  # a flag given overrides
+    config_data.update((key, value) for key, value in flags.items() if value is not None)
+    config = RunConfig.from_dict(config_data)
 
     series = parse_load_csv(args.input)
     report = run(config, series)
@@ -148,7 +140,7 @@ def _cmd_run(args) -> int:
 def _load_report(path: str) -> EvaluationReport:
     try:
         return EvaluationReport.from_json(Path(path).read_text(encoding="utf-8"))
-    except (KeyError, TypeError, ValueError, NegativeDuration) as exc:  # JSONDecodeError too
+    except (TypeError, ValueError, NegativeDuration) as exc:  # JSONDecodeError too
         raise InputError(f"{path} is not a valid report: {exc}") from None
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .density import (
+    GRID_PAD_BANDWIDTHS,
     Grid,
     density_from_sum,
     estimate_kde,
@@ -52,6 +53,13 @@ class DriftState:
     @property
     def reference_readings(self) -> np.ndarray:
         return self.pool
+
+    def grid_with(self, readings: np.ndarray) -> Grid:
+        """shared_grid(readings, pool), the grid of the pool and `readings` too, without
+        reading the pool: rounding x - pad is monotone, so its ends are the grid's."""
+        pad = GRID_PAD_BANDWIDTHS * self.load_bandwidth
+        return Grid(min(self.grid.lo, float(readings.min() - pad)),
+                    max(self.grid.hi, float(readings.max() + pad)))
 
     def sum_on(self, grid: Grid) -> np.ndarray:
         """The pool's kernel sum on `grid`, summed at most once per grid.
@@ -102,7 +110,7 @@ def compute_divergence(state: DriftState, new_day: DaySample) -> float:
     The pool's KDE comes from the pool's sum, moved onto the shared grid
     when the day sets a new extreme; it has estimate_kde's bits.
     """
-    grid = shared_grid(new_day.readings, state.pool, state.load_bandwidth)
+    grid = state.grid_with(new_day.readings)
     pool_kde = density_from_sum(state.sum_on(grid), int(state.pool.size),
                                 state.load_bandwidth, grid)
     div = sqrt_jsd(estimate_kde(new_day.readings, state.load_bandwidth, grid), pool_kde)
@@ -171,9 +179,8 @@ def advance(state: DriftState, new_day: DaySample, divergence: float) -> DriftSt
     if not 0.0 <= divergence <= 1.0:
         raise OutOfRangeDivergence(f"divergence {divergence} outside [0, 1]")
     h = state.load_bandwidth
-    pool = np.concatenate([state.pool, new_day.readings])
-    grid = shared_grid(pool, pool, h)
-    return DriftState(pool=pool, grid=grid,
+    grid = state.grid_with(new_day.readings)
+    return DriftState(pool=np.concatenate([state.pool, new_day.readings]), grid=grid,
                       pool_sum=kernel_sum(new_day.readings, h, grid.points, state.sum_on(grid)),
                       divergence_history=np.append(state.divergence_history, divergence),
                       load_bandwidth=h)

@@ -13,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import date
+from numbers import Integral, Real
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -102,8 +103,8 @@ class CostEntry:
     def __post_init__(self):
         if self.kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.kind!r}")
-        if self.duration_seconds < 0:
-            raise NegativeDuration(f"duration {self.duration_seconds} is negative")
+        if not self.duration_seconds >= 0:  # NaN too
+            raise NegativeDuration(f"duration {self.duration_seconds} must be >= 0")
 
 
 # --- comparison metrics -------------------------------------------------------
@@ -136,19 +137,26 @@ def _plain(value):
     return dict(value) if isinstance(value, dict) else value
 
 
-def _typed(kind, value):
-    """The inverse of _plain for a value annotated `kind`."""
-    if value is None:
-        return None
+# The values each plain annotation admits; a bool, though an int, is no number.
+_ADMITS = {bool: bool, int: Integral, float: Real, str: str, dict: dict, tuple: (list, tuple)}
+
+
+def _typed(kind, value, name: str):
+    """The inverse of _plain for field `name`, annotated `kind`; a TypeError unless
+    `kind` admits the value: None only under Optional, a record as its dict or
+    itself, a date as its ISO text, a tuple element by element, others by _ADMITS."""
     if get_origin(kind) is Union:  # Optional[x]
+        if value is None:
+            return None
         kind = get_args(kind)[0]
-    if get_origin(kind) is tuple:
-        return tuple(_typed(get_args(kind)[0], v) for v in value)
     if is_dataclass(kind):
-        return _record(kind, value)
+        return value if isinstance(value, kind) else _record(kind, value)
     if kind is date:
         return date.fromisoformat(value)
-    return dict(value) if kind is dict else value
+    base = get_origin(kind) or kind
+    if isinstance(value, bool) is not (base is bool) or not isinstance(value, _ADMITS[base]):
+        raise TypeError(f"{name} must be {base.__name__}, got {value!r}")
+    return tuple(_typed(get_args(kind)[0], v, name) for v in value) if base is tuple else value
 
 
 # get_type_hints evaluates the annotation strings; once per record class will do.
@@ -156,9 +164,13 @@ _field_types = functools.cache(get_type_hints)
 
 
 def _record(cls, data: dict):
-    """An instance of the record class `cls` from its _plain dict."""
+    """An instance of the record class `cls` from its _plain dict; absent fields take defaults."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a {cls.__name__} is a JSON object, not {type(data).__name__}")
     hints = _field_types(cls)
-    return cls(**{f.name: _typed(hints[f.name], data[f.name]) for f in fields(cls)})
+    if set(data) - set(hints):
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(set(data) - set(hints))}")
+    return cls(**{name: _typed(hints[name], value, name) for name, value in data.items()})
 
 
 @dataclass(frozen=True)
@@ -213,7 +225,8 @@ class EvaluationReport:
             raise ValueError(f"a report is a JSON object, not {type(data).__name__}")
         if data.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise ValueError(f"unsupported report schema {data.get('schema_version')}")
-        return _record(cls, data)
+        derived = ("schema_version", "total_cost")  # to_dict's, not fields
+        return _record(cls, {key: value for key, value in data.items() if key not in derived})
 
     @classmethod
     def from_json(cls, text: str) -> "EvaluationReport":

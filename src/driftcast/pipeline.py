@@ -16,9 +16,8 @@ day like the passive mode.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +31,9 @@ from .evaluation import (
     DailyError,
     EvaluationReport,
     HpoEventRecord,
+    _field_types,
+    _record,
+    _typed,
     daily_error,
     improvement,
     mape as mape_metric,
@@ -74,10 +76,6 @@ from .ingest import (
 )
 
 MODES = ("baseline", "passive", "active")
-# The values a field's annotation admits; bool, though an int, is no number.
-_ADMITS = {"bool": bool, "int": numbers.Integral, "float": numbers.Real,
-           "Optional[float]": numbers.Real, "tuple[int, ...]": numbers.Integral,
-           "tuple[float, ...]": numbers.Real}
 # The least value of each integer setting.
 _INT_BOUNDS = {"input_len": 1, "hpo_initial_budget": 1, "hpo_adapt_budget": 1, "hpo_fit_epochs": 1,
                "epochs_initial": 1, "epochs_incremental": 1, "batch_size": 1,
@@ -109,17 +107,13 @@ class RunConfig:
     exclude_zero_actuals: bool = False
     retune_units_full_retrain: bool = False
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value, kind = getattr(self, f.name), _ADMITS.get(f.type)
-            if kind and any(isinstance(v, bool) is not (kind is bool) or not isinstance(v, kind)
-                            for v in (value if isinstance(value, tuple) else (value,))
-                            if not (v is None and f.type.startswith("Optional"))):
-                raise ConfigError(f"{f.name} must hold values of type {f.type}, got {value!r}")
-        try:  # the search space's own rules: non-empty axes, valid rates and widths
+    def __post_init__(self):
+        try:  # each annotation, then the search space's rules: non-empty axes, valid points
+            for name, kind in _field_types(RunConfig).items():  # held typed: a list as a tuple
+                object.__setattr__(self, name, _typed(kind, getattr(self, name), name))
             SearchSpace(self.learning_rates, self.dropout_rates, self.n_units_values).all_points()
-        except ValueError as exc:
-            raise ConfigError(f"bad search space: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "active":
@@ -142,16 +136,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = dict(data)
-        split_data = known.pop("split", None)
-        split = SplitSpec() if split_data is None else SplitSpec(**split_data)
-        for key in ("learning_rates", "dropout_rates", "n_units_values"):
-            if key in known:
-                known[key] = tuple(known[key])
-        unknown = set(known) - {f for f in cls.__dataclass_fields__ if f != "split"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(split=split, **known)
+        try:
+            return _record(cls, data)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc}") from None
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -191,7 +179,6 @@ class PreparedRun:
 
 
 def prepare_run(config: RunConfig, series: LoadSeries) -> PreparedRun:
-    config.validate()
     filled = resample_and_fill(series, config.max_gap)
     days = list(segment_days(filled))
     train_days, val_days, test_days = split_dataset(days, config.split)

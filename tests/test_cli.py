@@ -66,6 +66,18 @@ class TestSynthAndIngest:
         assert segmentation["complete_days"] == 12
         assert segmentation["resolution_minutes"] == 60 / 6
 
+    @pytest.mark.parametrize("gappy", [False, True])
+    def test_ingest_negative_max_gap_is_config_error(self, workspace, capsys, gappy):
+        path = _synth(workspace)
+        if gappy:
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:100] + lines[101:]))
+        out = workspace / "canonical.csv"
+        code = main(["ingest", str(path), "--out", str(out), "--max-gap", "-1"])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: max_gap must be >= 0")
+
     def test_ingest_missing_file_is_input_error(self, workspace):
         code = main(["ingest", str(workspace / "nope.csv"),
                      "--out", str(workspace / "out.csv")])
@@ -421,6 +433,17 @@ _GARBAGE_REPORTS = {
         daily_errors=[{"day_index": 5, "mape": 1.0, "rmse": 0.5}])),
     "negative-duration": json.dumps(_small_report(cost_entries=[
         {"day_index": "2024-01-01", "kind": "initial_training", "duration_seconds": -1.0}])),
+    "nan-duration": json.dumps(_small_report(cost_entries=[{
+        "day_index": "2024-01-01", "kind": "initial_training", "duration_seconds": float("nan")}])),
+    "mean-mape-text": json.dumps(_small_report(mean_mape="x")),
+    "price-rate-text": json.dumps(_small_report(price_rate="x")),
+    "tau-text": json.dumps(_small_report(tau="0.1")),
+    "mode-int": json.dumps(_small_report(mode=5)),
+    "seed-text": json.dumps(_small_report(seed="0")),
+    "adaptation-count-float": json.dumps(_small_report(adaptation_count=1.5)),
+    "daily-mape-text": json.dumps(_small_report(
+        daily_errors=[{"day_index": "2024-01-01", "mape": "x", "rmse": 0.5}])),
+    "unknown-key": json.dumps(_small_report(note="hand-edited")),
 }
 
 

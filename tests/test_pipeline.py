@@ -45,11 +45,11 @@ def _error_payload(report: EvaluationReport) -> bytes:
 class TestConfig:
     def test_active_requires_tau(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="active").validate()
+            RunConfig(mode="active")
 
     def test_tau_forbidden_outside_active(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="passive", tau=0.1).validate()
+            RunConfig(mode="passive", tau=0.1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -61,7 +61,11 @@ class TestConfig:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="hybrid").validate()
+            RunConfig(mode="hybrid")
+
+    def test_a_bool_is_no_int_when_built(self):
+        with pytest.raises(ConfigError, match="batch_size must be int, got True"):
+            RunConfig(batch_size=True)
 
 
 class TestBaseline:
@@ -248,9 +252,8 @@ class TestFailFast:
     ])
     def test_out_of_range_value_rejected_before_search(self, monkeypatch, override, match):
         self._no_search(monkeypatch)
-        config = dataclasses.replace(_small_config("active", tau=0.5), **override)
         with pytest.raises(ConfigError, match=match):
-            run(config, _small_series())
+            run(dataclasses.replace(_small_config("active", tau=0.5), **override), _small_series())
 
 
 class TestScoringContext:

@@ -17,7 +17,7 @@ from conftest import reference_parse_load_csv, reference_timestamp, reference_wr
 
 from driftcast.density import estimate_kde, kernel_sum, shared_grid
 from driftcast.divergence import jsd
-from driftcast.drift import advance, decide, init_drift_state, p_value
+from driftcast.drift import DriftState, advance, decide, init_drift_state, p_value
 from driftcast.errors import NoCompleteDay, NonMonotoneTimestamps, UnparseableRow
 from driftcast.forecaster import (
     Hyperparameters,
@@ -114,6 +114,20 @@ def test_blocked_kernel_sum_equals_one_shot_sum_bitwise(n, seed, bandwidth, cut)
     resumed = kernel_sum(v[cut:], bandwidth, points, kernel_sum(v[:cut], bandwidth, points))
     assert kernel_sum(v, bandwidth, points).tobytes() == one_shot.tobytes()
     assert resumed.tobytes() == one_shot.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40),
+       st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40), bandwidths)
+def test_the_grid_with_a_day_is_the_shared_grid_of_pool_and_day(pool, day, bandwidth):
+    # grid_with reads the state's grid, never the pool: rounding x - pad is monotone in x.
+    pool, day = np.array(pool), np.array(day)
+    state = DriftState(pool=pool, grid=shared_grid(pool, pool, bandwidth),
+                       pool_sum=np.zeros(512), divergence_history=np.empty(0),
+                       load_bandwidth=bandwidth)
+    both = np.concatenate([pool, day])
+    assert state.grid_with(day) == shared_grid(day, pool, bandwidth)
+    assert state.grid_with(day) == shared_grid(both, both, bandwidth)
 
 
 # --- ingest -------------------------------------------------------------------
