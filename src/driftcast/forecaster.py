@@ -16,7 +16,7 @@ import copy
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -223,82 +223,166 @@ def stack_windows(windows: Sequence[SupervisedWindow]) -> tuple[np.ndarray, np.n
 
 # --- forward / backward -------------------------------------------------------
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Logistic function of `x` into `out`, with `x` as scratch: the bits of
     1/(1+exp(-x)) for x >= 0 and of exp(x)/(1+exp(x)) below. The numerator
     exp(min(x, 0)) is 1 or exp(x), the denominator 1 + exp(-|x|). exp sees
-    no positive argument, so it cannot overflow, and a term that rounds to
-    zero is not reported as underflow."""
+    no positive argument, so it cannot overflow; a term that rounds to zero
+    underflows, which the caller's errstate must ignore."""
     np.minimum(x, 0.0, out=out)
     np.abs(x, out=x)
     np.negative(x, out=x)
-    with np.errstate(under="ignore"):
-        np.exp(x, out=x)
-        np.exp(out, out=out)
+    np.exp(x, out=x)
+    np.exp(out, out=out)
     x += 1.0
     return np.divide(out, x, out=out)
 
 
-def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
-    """Unroll the LSTM over (batch, steps) inputs, gate-major.
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`_logistic` with its underflow ignored, for a call outside a pass."""
+    with np.errstate(under="ignore"):
+        return _logistic(x, out)
 
-    The gate math runs on contiguous (batch, U) blocks: pre-activations and
-    gate outputs are (4, batch, U) arrays in the order z, i, f, o. Each step
-    writes x*W into them, takes the recurrent part of all four gates from one
-    (batch, 4U) matmul and adds it. The input and forget gates peep at the
-    previous cell state; the output gate peeps at the *updated* cell, so it
-    is finished after the cell update. Each pre-activation is summed per
-    element in the order ((x*W + h*R) + c*p) + b, the order of the per-gate
-    formulas, so the values do not depend on the layout. A stack of networks
-    adds a member axis after the gate axis; its inputs may share one block.
 
-    With `keep_cache` the bias and peepholes are copied into batch-sized
-    blocks and every step's h, c, gates and tanh(c) are kept for the backward
-    pass; without it, one step's state is overwritten in place.
+class _Workspace:
+    """Every buffer an LSTM pass over a (batch, steps) input block `x` writes,
+    the views its loop reads, and the gradient. The views read `weights` in
+    place, so a training run reuses one per batch length. Gate-major: gates
+    are (4, batch, U) blocks, z, i, f, o, with a stack's member axis after the
+    gate axis (its inputs may share one block). Each pre-activation is summed
+    per element as ((x*W + h*R) + c*p) + b, the order of the per-gate formulas,
+    so the layout moves no bit; the output gate peeps at the updated cell.
+    With `keep_cache` the bias and peepholes are copied into batch-sized blocks
+    and each step's h, c, gates and tanh(c) are kept for the backward pass;
+    without it one step's state is overwritten in place, for one forward pass.
     """
-    w = weights
-    lead, units = w.flat.shape[:-1], w.n_units
-    batch, steps = inputs.shape[-2:]
-    block = (*lead, batch, units)
-    b, p = (np.moveaxis(a.reshape(*lead, 1, -1, units), -2, 0) for a in (w.b, w.p))
-    if keep_cache:
-        b, p = (np.broadcast_to(a, a.shape[:-2] + (batch, units)).copy() for a in (b, p))
-    W, R_T = w.W.reshape(*lead, 1, 4, units), w.R.swapaxes(-1, -2)
-    xs = inputs[..., None, None]
-    pre = np.empty((4, *block))
-    pre_rows = np.moveaxis(pre, 0, -2)
-    slot = int(keep_cache)  # step t reads h, c at t * slot and writes them at (t + 1) * slot
-    hs, cs = np.zeros((2, steps * slot + 1, *block))
-    kept = steps * slot or 1
-    gates, tanh_cs = np.empty((kept, 4, *block)), np.empty((kept, *block))
-    # Until written, a step's gate outputs and tanh_c serve as scratch: the
-    # gate block holds the (batch, 4U) rows of the recurrent matmul.
-    rows = gates.reshape(kept, *lead, batch, 4 * units)
-    row_gates = np.moveaxis(rows.reshape(kept, *lead, batch, 4, units), -2, 1)
-    for t in range(steps):
-        k = t * slot
-        h, c, h_new, c_new = hs[k], cs[k], hs[k + slot], cs[k + slot]
-        g, tanh_c = gates[k], tanh_cs[k]
-        np.multiply(xs[..., t, :, :], W, out=pre_rows)
-        np.matmul(h, R_T, out=rows[k])
-        pre += row_gates[k]
-        pre[1:3] += np.multiply(c, p[:2], out=g[1:3])
-        pre[:3] += b[:3]
-        np.tanh(pre[0], out=g[0])
-        _sigmoid(pre[1:3], out=g[1:3])
-        np.multiply(c, g[2], out=c_new)  # c*f + z*i: the same sum as z*i + c*f
-        c_new += np.multiply(g[0], g[1], out=tanh_c)
-        pre[3] += np.multiply(c_new, p[2], out=g[3])
-        pre[3] += b[3]
-        _sigmoid(pre[3], out=g[3])
-        np.tanh(c_new, out=tanh_c)
-        np.multiply(g[3], tanh_c, out=h_new)
-    return h_new, ((hs, cs, gates, tanh_cs, p) if keep_cache else None)
+
+    def __init__(self, weights: LstmWeights, inputs: np.ndarray, keep_cache: bool = True):
+        w = self.weights = weights
+        lead, units, (batch, steps) = w.flat.shape[:-1], w.n_units, inputs.shape[-2:]
+        block = (*lead, batch, units)
+        self.x = np.array(inputs, dtype=float)
+        self.params = [np.moveaxis(a.reshape(*lead, 1, -1, units), -2, 0) for a in (w.b, w.p)]
+        self.param_blocks = [np.empty((len(a), *block)) for a in self.params] if keep_cache else []
+        b, p = self.param_blocks or self.params
+        pre = np.empty((4, *block))
+        self.fixed = (w.W.reshape(*lead, 1, 4, units), w.R.swapaxes(-1, -2), pre,
+                      np.moveaxis(pre, 0, -2), pre[0], pre[1:3], pre[:3], pre[3],
+                      b[:3], b[3], p[:2], p[2])
+        slot = int(keep_cache)  # step t reads h, c at t * slot and writes them at (t + 1) * slot
+        hs, cs = np.zeros((2, steps * slot + 1, *block))
+        kept = steps * slot or 1
+        gates, tanh_cs = np.empty((kept, 4, *block)), np.empty((kept, *block))
+        # Until written, a step's gate outputs and tanh_c serve as scratch: the
+        # gate block holds the (batch, 4U) rows of the recurrent matmul.
+        rows = gates.reshape(kept, *lead, batch, 4 * units)
+        row_gates = np.moveaxis(rows.reshape(kept, *lead, batch, 4, units), -2, 1)
+        xs = self.x[..., None, None]
+        self.forward_steps = [(xs[..., t, :, :], hs[k], cs[k], hs[k + slot], cs[k + slot], rows[k],
+                               row_gates[k], *gates[k], gates[k, 1:3], tanh_cs[k])
+                              for t, k in ((t, t * slot) for t in range(steps))]
+        if keep_cache:
+            grads = self.grads = LstmWeights(np.zeros_like(w.flat), units, w.horizon)
+            head = np.empty((*lead, batch, 11 * units))
+            self.back = (  # scratch for the head's 11 blocks, 4 products and 6 more
+                np.empty((21, *block)), head,
+                np.moveaxis(head.reshape(*lead, batch, 11, units), -2, 0),
+                head[..., 4 * units : 8 * units].swapaxes(-1, -2), np.empty((*lead, 11 * units)),
+                grads.flat[..., : 11 * units], np.empty_like(w.R),
+                np.moveaxis(w.R.reshape(*lead, 4, units, units), -3, 0))
+            xs = np.moveaxis(self.x, -1, 0)[..., None]
+            self.backward_steps = [(xs[t], hs[t], cs[t], cs[t + 1], tanh_cs[t], *gates[t],
+                                    gates[t, 1:3]) for t in reversed(range(steps))]
+
+    def forward(self) -> np.ndarray:
+        """The final hidden state for the inputs in `x`."""
+        for block, param in zip(self.param_blocks, self.params):
+            np.copyto(block, param)
+        W, R_T, pre, pre_rows, pre_z, pre_if, pre_zif, pre_o, b_zif, b_o, p_if, p_o = self.fixed
+        with np.errstate(under="ignore"):  # for _logistic
+            for x, h, c, h_new, c_new, rows, row_g, z, i, f, o, i_f, tanh_c in self.forward_steps:
+                np.multiply(x, W, out=pre_rows)
+                np.matmul(h, R_T, out=rows)
+                pre += row_g
+                pre_if += np.multiply(c, p_if, out=i_f)
+                pre_zif += b_zif
+                np.tanh(pre_z, out=z)
+                _logistic(pre_if, out=i_f)
+                np.multiply(c, f, out=c_new)  # c*f + z*i: the same sum as z*i + c*f
+                c_new += np.multiply(z, i, out=tanh_c)
+                pre_o += np.multiply(c_new, p_o, out=o)
+                pre_o += b_o
+                _logistic(pre_o, out=o)
+                np.tanh(c_new, out=tanh_c)
+                np.multiply(o, tanh_c, out=h_new)
+        return h_new
+
+    def loss_and_gradients(self, targets: np.ndarray, dropout_mask: np.ndarray | None):
+        """Each member's MSE loss and exact gradient (full BPTT) for `x`, into `grads`."""
+        w, grads = self.weights, self.grads
+        h_final = self.forward()
+        h_drop = h_final if dropout_mask is None else h_final * dropout_mask
+        diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
+        losses = _member_mse(diff)
+
+        grads.flat.fill(0.0)
+        d_out = 2.0 * diff / (self.x.shape[-2] * w.horizon)
+        grads.W_out[...] = d_out.swapaxes(-1, -2) @ h_drop
+        grads.b_out[...] = d_out.sum(axis=-2)
+        # Eleven (batch, U) blocks x*d | d | c_prev*(d_i, d_f) | c*d_o, in the
+        # order of the head W | b | p of the flat vector; d holds the gate deltas
+        # dz, di, df, do. Each step copies them into one row per window, so one
+        # batch sum per step accumulates all three gradients.
+        sc, head, head_blocks, d_all_T, head_sum, grad_head, grad_R_t, R4 = self.back
+        blocks, prod, (dh, dc, dc_next, s), s_if = sc[:11], sc[11:15], sc[15:19], sc[19:]
+        xd, d, d_if, cd_if, cd_o = blocks[:4], blocks[4:8], blocks[5:7], blocks[8:10], blocks[10]
+        (dz, di, df, do), (prod_z, prod_i, prod_f, prod_o) = d, prod
+        (p_i, p_f, p_o), grad_R = self.param_blocks[1], grads.R
+        np.matmul(d_out, w.W_out, out=dh)
+        if dropout_mask is not None:
+            dh *= dropout_mask
+        dc_next.fill(0.0)
+        for x, h_prev, c_prev, c_t, tanh_c, z, i, f, o, i_f in self.backward_steps:
+            np.multiply(dh, tanh_c, out=do)
+            do *= o
+            do *= np.subtract(1.0, o, out=s)
+            np.multiply(dh, o, out=dc)  # dc = dh*o*(1 - tanh_c*tanh_c) + dc_next + do*p_o
+            dc *= np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=s), out=s)
+            dc += dc_next
+            dc += np.multiply(do, p_o, out=s)
+            np.multiply(dc, i, out=dz)
+            dz *= np.subtract(1.0, np.multiply(z, z, out=s), out=s)
+            np.multiply(dc, z, out=di)
+            np.multiply(dc, c_prev, out=df)
+            d_if *= i_f
+            d_if *= np.subtract(1.0, i_f, out=s_if)
+            np.multiply(dc, f, out=dc_next)  # dc_next = dc*f + di*p_i + df*p_f
+            dc_next += np.multiply(di, p_i, out=s)
+            dc_next += np.multiply(df, p_f, out=s)
+            # dh = dz@R_z + di@R_i + df@R_f + do@R_o: four products from one batched
+            # matmul, added in gate order (one (4U)-deep matmul would reorder the sum).
+            np.matmul(d, R4, out=prod)
+            np.add(prod_z, prod_i, out=dh)
+            dh += prod_f
+            dh += prod_o
+            np.multiply(d, x, out=xd)
+            np.multiply(d_if, c_prev, out=cd_if)
+            np.multiply(do, c_t, out=cd_o)
+            np.copyto(head_blocks, blocks)
+            grad_head += np.sum(head, axis=-2, out=head_sum)
+            grad_R += np.matmul(d_all_T, h_prev, out=grad_R_t)
+        return losses, grads
 
 
 def _member_mse(diff: np.ndarray) -> np.ndarray:
     """Each member's mean squared error, reduced over its own contiguous row."""
     return (diff * diff).reshape(-1, diff.shape[-2] * diff.shape[-1]).mean(axis=1)
+
+
+def _forward(weights: LstmWeights, inputs: np.ndarray, keep_cache: bool):
+    """(final hidden state, workspace) of a one-off workspace run on `inputs`."""
+    work = _Workspace(weights, inputs, keep_cache)
+    return work.forward(), work
 
 
 def batch_forward(weights: LstmWeights, inputs: np.ndarray) -> np.ndarray:
@@ -308,73 +392,16 @@ def batch_forward(weights: LstmWeights, inputs: np.ndarray) -> np.ndarray:
     return h @ weights.W_out.swapaxes(-1, -2) + weights.b_out[..., None, :]
 
 
-def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray,
-                       targets: np.ndarray,
-                       dropout_mask: np.ndarray | None = None,
-                       ) -> tuple[float, LstmWeights]:
+def loss_and_gradients(weights: LstmWeights, inputs: np.ndarray, targets: np.ndarray,
+                       dropout_mask: np.ndarray | None = None) -> tuple[float, LstmWeights]:
     """MSE loss and its exact gradient for every parameter (full BPTT).
 
-    The gradient is packed like the weights; `grads[name]` reads one tensor.
-    For a stack, arrays lead with the member axis and each member's loss
-    and gradient are bit for bit those of its own call.
+    The gradient is packed like the weights; `grads[name]` reads one tensor,
+    and no later call writes it. For a stack, arrays lead with the member axis
+    and each member's loss and gradient are bit for bit those of its own call.
     """
-    w = weights
-    lead, units = w.flat.shape[:-1], w.n_units
-    batch, steps = inputs.shape[-2:]
-    h_final, (hs, cs, gates, tanh_cs, p) = _forward(w, inputs, keep_cache=True)
-    h_drop = h_final if dropout_mask is None else h_final * dropout_mask
-    diff = h_drop @ w.W_out.swapaxes(-1, -2) + w.b_out[..., None, :] - targets
-    losses = _member_mse(diff)
-
-    grads = LstmWeights(np.zeros_like(w.flat), units, w.horizon)
-    d_out = 2.0 * diff / (batch * w.horizon)
-    grads.W_out[...] = d_out.swapaxes(-1, -2) @ h_drop
-    grads.b_out[...] = d_out.sum(axis=-2)
-    dh = d_out @ w.W_out
-    if dropout_mask is not None:
-        dh = dh * dropout_mask
-    dc_next = np.zeros((*lead, batch, units))
-    p_i, p_f, p_o = p
-
-    # Eleven (batch, U) blocks x*d | d | c_prev*(d_i, d_f) | c*d_o, in the
-    # order of the head W | b | p of the flat vector; d holds the gate deltas
-    # dz, di, df, do. Each step copies them into one row per window, so one
-    # batch sum per step accumulates all three gradients.
-    blocks = np.empty((11, *lead, batch, units))
-    xd, d, d_if, cd_if, cd_o = blocks[:4], blocks[4:8], blocks[5:7], blocks[8:10], blocks[10]
-    dz, di, df, do = d
-    head = np.empty((*lead, batch, 11 * units))
-    head_blocks = np.moveaxis(head.reshape(*lead, batch, 11, units), -2, 0)
-    d_all = head[..., 4 * units : 8 * units]
-    grad_head = grads.flat[..., : 11 * units]
-    grad_R_t = np.empty_like(w.R)
-    xs = np.moveaxis(inputs, -1, 0)[..., None]
-    for t in reversed(range(steps)):
-        h_prev, c_prev, c_t, tanh_c = hs[t], cs[t], cs[t + 1], tanh_cs[t]
-        (z, i, f, o), i_f = gates[t], gates[t, 1:3]
-        np.multiply(dh, tanh_c, out=do)
-        do *= o
-        do *= 1.0 - o
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next + do * p_o
-        np.multiply(dc, i, out=dz)
-        dz *= 1.0 - z * z
-        np.multiply(dc, z, out=di)
-        np.multiply(dc, c_prev, out=df)
-        d_if *= i_f
-        d_if *= 1.0 - i_f
-        dc_next = dc * f + di * p_i + df * p_f
-        # Four products added in gate order: one (4U)-deep matmul would
-        # reorder the sum.
-        dh = dz @ w.R_z + di @ w.R_i + df @ w.R_f + do @ w.R_o
-
-        np.multiply(d, xs[t], out=xd)
-        np.multiply(d_if, c_prev, out=cd_if)
-        np.multiply(do, c_t, out=cd_o)
-        np.copyto(head_blocks, blocks)
-        grad_head += head.sum(axis=-2)
-        grads.R += np.matmul(d_all.swapaxes(-1, -2), h_prev, out=grad_R_t)
-
-    return (losses if lead else losses[0]), grads
+    losses, grads = _Workspace(weights, inputs).loss_and_gradients(targets, dropout_mask)
+    return (losses if weights.flat.ndim > 1 else losses[0]), grads
 
 
 # --- training -------------------------------------------------------------
@@ -442,6 +469,7 @@ class _TrainingRun:
     rngs: list[np.random.Generator]
     hps: list[Hyperparameters]
     epochs_done: int = 0
+    workspaces: dict[int, _Workspace] = field(default_factory=dict)  # by batch length
 
     @classmethod
     def start(cls, weights: Sequence[LstmWeights], hps: Sequence[Hyperparameters],
@@ -470,8 +498,10 @@ def _epoch(run: _TrainingRun, inputs: np.ndarray, targets: np.ndarray,
             mask = np.stack([(rng.random(shape) >= hp.dropout_rate) / (1.0 - hp.dropout_rate)
                              if hp.dropout_rate else np.ones(shape)
                              for rng, hp in zip(run.rngs, run.hps)])
-        losses, grads = loss_and_gradients(run.weights, inputs[batch_idx],
-                                           targets[batch_idx], mask)
+        work = run.workspaces.get(shape[0]) or _Workspace(run.weights, inputs[batch_idx])
+        run.workspaces[shape[0]] = work
+        work.x[...] = inputs[batch_idx]
+        losses, grads = work.loss_and_gradients(targets[batch_idx], mask)
         _finite(losses, "training")
         run.adam.update(run.weights, grads)
     run.epochs_done += 1

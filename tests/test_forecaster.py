@@ -16,8 +16,11 @@ from driftcast.errors import (
 from driftcast.forecaster import (
     ForecastModel,
     _Adam,
+    _epoch,
     _forward,
     _sigmoid,
+    _TrainingRun,
+    _Workspace,
     batch_forward,
     Hyperparameters,
     LstmWeights,
@@ -803,3 +806,126 @@ class TestStackedMembers:
             diff = rng.normal(size=(*lead, batch, horizon))
             loop = [float(np.mean(m)) for m in (diff * diff).reshape(-1, batch, horizon)]
             assert _member_mse(diff).tobytes() == np.array(loop).tobytes()
+
+
+def _two_member_run(seed=0, units=5, rates=(0.3, 0.2)):
+    """A fresh 2-member training run with dropout on both members."""
+    hps = [Hyperparameters(learning_rate=lr, dropout_rate=rate, n_units=units)
+           for lr, rate in zip((0.01, 0.003), rates)]
+    weights = [LstmWeights.initialize(units, 6, np.random.default_rng([seed, j])) for j in (0, 1)]
+    rngs = [np.random.default_rng([seed, 10 + j]) for j in (0, 1)]
+    return _TrainingRun.start(weights, hps, rngs)
+
+
+def _public_epoch(run, inputs, targets, batch_size):
+    """`_epoch` driven through public `loss_and_gradients`: a fresh workspace
+    per call, the same batch orders and masks (every member has dropout)."""
+    orders = np.stack([rng.permutation(len(inputs)) for rng in run.rngs])
+    for start in range(0, len(inputs), batch_size):
+        batch_idx = orders[:, start : start + batch_size]
+        shape = (batch_idx.shape[1], run.weights.n_units)
+        mask = np.stack([(rng.random(shape) >= hp.dropout_rate) / (1.0 - hp.dropout_rate)
+                         for rng, hp in zip(run.rngs, run.hps)])
+        _, grads = loss_and_gradients(run.weights, inputs[batch_idx], targets[batch_idx], mask)
+        run.adam.update(run.weights, grads)
+    run.epochs_done += 1
+
+
+class TestStepWorkspace:
+    # 30 windows in batches of 8: three full batches and a ragged one of 6.
+    INPUTS = np.random.default_rng(31).random((30, 12))
+    TARGETS = np.random.default_rng(32).random((30, 6))
+
+    def _recording(self, monkeypatch) -> list:
+        """Record (workspace, returned gradient, forward cache) per training batch."""
+        seen, step = [], _Workspace.loss_and_gradients
+
+        def recording(work, targets, mask):
+            losses, grads = step(work, targets, mask)
+            seen.append((work, grads, work.forward_steps[-1][3].base))  # h_new's block
+            return losses, grads
+
+        monkeypatch.setattr(_Workspace, "loss_and_gradients", recording)
+        return seen
+
+    def test_epoch_reuses_its_runs_workspace_per_batch_length(self, monkeypatch):
+        seen = self._recording(monkeypatch)
+        run = _two_member_run()
+        inputs, targets = self.INPUTS, self.TARGETS
+        for _ in range(2):
+            _epoch(run, inputs, targets, batch_size=8)
+        full = [s for s in seen if s[0].x.shape == (2, 8, 12)]
+        ragged = [s for s in seen if s[0].x.shape == (2, 6, 12)]
+        assert (len(full), len(ragged), len(seen)) == (6, 2, 8)
+        for group in (full, ragged):
+            work, grads, cache = group[0]
+            assert grads is work.grads and cache is not None
+            for other_work, other_grads, other_cache in group[1:]:
+                assert other_work is work and other_grads is grads and other_cache is cache
+        assert full[0][0] is not ragged[0][0]
+        assert not np.shares_memory(full[0][1].flat, ragged[0][1].flat)
+        assert sorted(run.workspaces) == [6, 8]
+
+    def test_epoch_equals_public_calls_bitwise(self):
+        inputs, targets = self.INPUTS, self.TARGETS
+        reused, fresh = _two_member_run(), _two_member_run()
+        for _ in range(2):
+            _epoch(reused, inputs, targets, batch_size=8)
+            _public_epoch(fresh, inputs, targets, batch_size=8)
+        assert reused.weights.flat.tobytes() == fresh.weights.flat.tobytes()
+        assert reused.adam.m.tobytes() == fresh.adam.m.tobytes()
+        assert reused.adam.v.tobytes() == fresh.adam.v.tobytes()
+
+    def test_a_public_gradient_is_not_overwritten_later(self):
+        run = _two_member_run()
+        inputs, targets = self.INPUTS[:8], self.TARGETS[:8]
+        _, first = loss_and_gradients(run.weights, np.stack([inputs] * 2), np.stack([targets] * 2))
+        kept = first.flat.copy()
+        _, second = loss_and_gradients(run.weights, np.stack([inputs[::-1]] * 2),
+                                       np.stack([targets] * 2))
+        _epoch(run, self.INPUTS, self.TARGETS, batch_size=8)
+        assert second is not first and not np.shares_memory(first.flat, second.flat)
+        assert not any(np.shares_memory(first.flat, w.grads.flat) for w in run.workspaces.values())
+        assert first.flat.tobytes() == kept.tobytes()
+
+    def test_a_selected_run_builds_its_own_workspace(self):
+        run = _two_member_run()
+        _epoch(run, self.INPUTS, self.TARGETS, batch_size=8)
+        alone = run.select([1])
+        assert alone.workspaces == {}
+        _epoch(alone, self.INPUTS, self.TARGETS, batch_size=8)
+        assert all(w.weights is alone.weights and w.x.shape[0] == 1
+                   for w in alone.workspaces.values())
+        assert all(w.weights is run.weights for w in run.workspaces.values())
+
+    def test_a_member_leaving_through_patience_keeps_its_bits(self, monkeypatch):
+        seen = self._recording(monkeypatch)
+        rng = np.random.default_rng(33)
+        windows, val = _training_set(rng, n_days=1)
+        models = [dataclasses.replace(_model(seed=3, dropout=0.2), hyperparameters=Hyperparameters(
+            learning_rate=lr, dropout_rate=0.2, n_units=6)) for lr in (0.0001, 0.05, 0.3)]
+        trained = train(models, windows, val, epochs=6, batch_size=32, patience=0)
+        members = [work.x.shape[0] for work, _, _ in seen]
+        assert members[0] == 3 and min(members) < 3  # a member left the stack
+        for model, got in zip(models, trained):
+            alone = train(model, windows, val, epochs=6, batch_size=32, patience=0)
+            assert got.weights.flat.tobytes() == alone.weights.flat.tobytes()
+
+    def test_a_resumed_probe_builds_its_own_workspace_and_keeps_its_bits(self, monkeypatch):
+        seen = self._recording(monkeypatch)
+        rng = np.random.default_rng(34)
+        windows, _ = _training_set(rng, n_days=1)
+        model = _model(seed=4)
+        tuned = [Hyperparameters(learning_rate=lr, dropout_rate=rate, n_units=6)
+                 for lr, rate in ((0.01, 0.2), (0.003, 0.0))]
+        _, runs = incremental_update(model, windows[:40], tuned, epochs=1, batch_size=16,
+                                     keep_run_after=1)
+        for hp, run in zip(tuned, runs):
+            assert run.workspaces == {}
+            before = len(seen)
+            resumed = incremental_update(model, windows[:40], hp, epochs=3, batch_size=16,
+                                         resume=run)
+            assert all(work.weights is run.weights and work.x.shape[0] == 1
+                       for work, _, _ in seen[before:])
+            fresh = incremental_update(model, windows[:40], hp, epochs=3, batch_size=16)
+            assert resumed.weights.flat.tobytes() == fresh.weights.flat.tobytes()

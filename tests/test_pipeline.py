@@ -277,11 +277,11 @@ class TestResumedFinalFit:
         from driftcast import forecaster
 
         calls = [0]
-        loss_and_gradients = forecaster.loss_and_gradients
+        loss_and_gradients = forecaster._Workspace.loss_and_gradients
 
-        def counting(weights, *args, **kwargs):
-            calls[0] += np.atleast_2d(weights.flat).shape[0]  # one batch per stacked member
-            return loss_and_gradients(weights, *args, **kwargs)
+        def counting(work, *args, **kwargs):
+            calls[0] += np.atleast_2d(work.weights.flat).shape[0]  # one batch per stacked member
+            return loss_and_gradients(work, *args, **kwargs)
 
         per_event = []
         update_model = pipeline._update_model
@@ -292,7 +292,7 @@ class TestResumedFinalFit:
             per_event.append(calls[0] - before)
             return result
 
-        monkeypatch.setattr(forecaster, "loss_and_gradients", counting)
+        monkeypatch.setattr(forecaster._Workspace, "loss_and_gradients", counting)
         monkeypatch.setattr(pipeline, "_update_model", recording)
         config = dataclasses.replace(_small_config("passive"), hpo_adapt_budget=2,
                                      learning_rates=(0.01, 0.001),
@@ -441,13 +441,13 @@ class TestStackedSearch:
                                      patience=0, learning_rates=(0.0001, 0.001, 0.01))
         prep = prepare_run(config, _small_series())
         calls = [0]
-        loss_and_gradients = forecaster.loss_and_gradients
+        loss_and_gradients = forecaster._Workspace.loss_and_gradients
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return loss_and_gradients(*args, **kwargs)
 
-        monkeypatch.setattr(forecaster, "loss_and_gradients", counting)
+        monkeypatch.setattr(forecaster._Workspace, "loss_and_gradients", counting)
         space = pipeline.SearchSpace(config.learning_rates, config.dropout_rates,
                                      config.n_units_values)
         batches = -(-len(prep.train_windows) // config.batch_size)
